@@ -369,10 +369,12 @@ func (b *Broker) Submit(req JobRequest) (*Job, error) {
 	}
 	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
 	if err := j.cc.Setup(); err != nil {
+		b.removeJobResources(j.ccCfg)
 		return nil, err
 	}
 	tasks, err := j.cc.SubmitFiles(req.Files)
 	if err != nil {
+		b.removeJobResources(j.ccCfg)
 		return nil, err
 	}
 	j.tasks = tasks

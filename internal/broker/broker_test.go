@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -394,6 +395,76 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := b.Submit(JobRequest{App: "blast", Files: map[string][]byte{"a": nil}}); err == nil {
 		t.Error("no error for blast without a shared database")
+	}
+}
+
+// faultyQueue fails CreateQueue after createOK calls and
+// SendMessageBatch after sendOK calls (a negative budget never fails).
+type faultyQueue struct {
+	queue.API
+	createOK, sendOK int
+}
+
+var errInjected = errors.New("injected queue failure")
+
+func (q *faultyQueue) CreateQueue(name string) error {
+	if q.createOK == 0 {
+		return errInjected
+	}
+	q.createOK--
+	return q.API.CreateQueue(name)
+}
+
+func (q *faultyQueue) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
+	if q.sendOK == 0 {
+		return nil, errInjected
+	}
+	q.sendOK--
+	return q.API.SendMessageBatch(name, bodies)
+}
+
+// TestFailedSubmitRemovesJobResources fails a submission during queue
+// setup and midway through staging, and checks that neither leaves a
+// queue, bucket or journal of the job behind.
+func TestFailedSubmitRemovesJobResources(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		q    faultyQueue
+	}{
+		{"setup", faultyQueue{createOK: 1, sendOK: -1}},
+		{"staging", faultyQueue{createOK: -1, sendOK: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := testEnv()
+			inner := env.Queue
+			fq := tc.q
+			fq.API = inner
+			env.Queue = &fq
+			b := New(Config{Env: env, TickInterval: 5 * time.Millisecond})
+			defer b.Close()
+			files := make(map[string][]byte, 25)
+			for i := 0; i < 25; i++ {
+				files[fmt.Sprintf("f%02d", i)] = []byte(">r\nACGT\n")
+			}
+			if _, err := b.Submit(JobRequest{App: "cap3", Files: files}); !errors.Is(err, errInjected) {
+				t.Fatalf("Submit error = %v, want the injected failure", err)
+			}
+			if jobs := b.Jobs(); len(jobs) != 0 {
+				t.Errorf("failed submission registered %d jobs", len(jobs))
+			}
+			if qs := inner.ListQueues(); len(qs) != 0 {
+				t.Errorf("queues left behind: %v", qs)
+			}
+			cfg := b.ccConfigFor("job-0001")
+			for _, bucket := range []string{cfg.InputBucket(), cfg.OutputBucket()} {
+				if _, err := env.Blob.List(bucket, ""); !errors.Is(err, blob.ErrNoSuchBucket) {
+					t.Errorf("bucket %s left behind (List err = %v)", bucket, err)
+				}
+			}
+			if _, _, err := env.Blob.Stat(b.cfg.JournalBucket, journalKey("job-0001")); err == nil {
+				t.Error("journal left behind")
+			}
+		})
 	}
 }
 

@@ -237,6 +237,24 @@ type overlap struct {
 
 func (o overlap) score() float64 { return float64(o.length) * o.ident }
 
+// before orders overlaps best score first, with ties broken by read
+// pair and transform so the layout never depends on discovery order.
+func (o overlap) before(p overlap) bool {
+	if so, sp := o.score(), p.score(); so != sp {
+		return so > sp
+	}
+	if o.a != p.a {
+		return o.a < p.a
+	}
+	if o.b != p.b {
+		return o.b < p.b
+	}
+	if o.t.sign != p.t.sign {
+		return o.t.sign < p.t.sign
+	}
+	return o.t.shift < p.t.shift
+}
+
 // Assemble runs the full pipeline over a set of reads.
 func Assemble(records []*fasta.Record, opt Options) *Result {
 	opt = opt.withDefaults()
@@ -265,7 +283,7 @@ func Assemble(records []*fasta.Record, opt Options) *Result {
 	// Stage 3+4: layout via union-find, best overlaps first; inconsistent
 	// (false) overlaps are rejected at this stage, as CAP3 rejects
 	// overlaps that contradict the growing layout.
-	sort.Slice(overlaps, func(i, j int) bool { return overlaps[i].score() > overlaps[j].score() })
+	sort.Slice(overlaps, func(i, j int) bool { return overlaps[i].before(overlaps[j]) })
 	lay := newLayout(len(reads))
 	for _, ov := range overlaps {
 		if !lay.union(ov.a, ov.b, ov.t) {
@@ -351,11 +369,13 @@ func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 		collect(r.rc, -1)
 		stats.SeedCandidates += len(votes)
 
-		// Verify the best-voted diagonal for each (b, sign) pair.
+		// Verify the best-voted diagonal for each (b, sign) pair; equal
+		// votes go to the smallest offset.
 		best := make(map[[2]int32]seedKey)
 		for k, v := range votes {
 			bk := [2]int32{k.b, int32(k.sign)}
-			if cur, ok := best[bk]; !ok || votes[cur] < v {
+			cur, ok := best[bk]
+			if !ok || votes[cur] < v || (votes[cur] == v && k.offset < cur.offset) {
 				best[bk] = k
 			}
 		}
@@ -459,7 +479,13 @@ func buildConsensus(id string, reads []*read, members []int, lay *layout) *Conti
 			}
 		}
 	}
-	sort.Slice(contig.Reads, func(i, j int) bool { return contig.Reads[i].Offset < contig.Reads[j].Offset })
+	sort.SliceStable(contig.Reads, func(i, j int) bool {
+		ri, rj := contig.Reads[i], contig.Reads[j]
+		if ri.Offset != rj.Offset {
+			return ri.Offset < rj.Offset
+		}
+		return ri.ReadID < rj.ReadID
+	})
 	consensus := make([]byte, 0, width)
 	for _, col := range counts {
 		bestCode, bestN := 0, int32(0)

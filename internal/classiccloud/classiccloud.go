@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,28 +251,35 @@ func (c *Client) Setup() error {
 }
 
 // SubmitFiles uploads each named input file to the input bucket and
-// enqueues one task per file. Output keys get an ".out" suffix.
+// enqueues one task per file, in sorted name order. Tasks are enqueued
+// in batches of queue.MaxBatch, each billed as one request; every
+// file of a batch is uploaded before the batch is sent, so a worker
+// never receives a task whose input is missing. Output keys get an
+// ".out" suffix.
 func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
-	tasks := make([]Task, 0, len(files))
 	// Deterministic submission order simplifies reproducibility.
 	names := make([]string, 0, len(files))
 	for name := range files {
 		names = append(names, name)
 	}
-	sortStrings(names)
-	for _, name := range names {
-		if err := c.env.Blob.Put(c.cfg.InputBucket(), name, files[name]); err != nil {
-			return nil, fmt.Errorf("classiccloud: uploading %s: %w", name, err)
+	sort.Strings(names)
+	tasks := c.cfg.TasksFromIDs(names)
+	for start := 0; start < len(names); start += queue.MaxBatch {
+		end := min(start+queue.MaxBatch, len(names))
+		bodies := make([][]byte, 0, end-start)
+		for i, name := range names[start:end] {
+			if err := c.env.Blob.Put(c.cfg.InputBucket(), name, files[name]); err != nil {
+				return nil, fmt.Errorf("classiccloud: uploading %s: %w", name, err)
+			}
+			body, err := json.Marshal(tasks[start+i])
+			if err != nil {
+				return nil, fmt.Errorf("classiccloud: encoding task: %w", err)
+			}
+			bodies = append(bodies, body)
 		}
-		task := c.cfg.TasksFromIDs([]string{name})[0]
-		body, err := json.Marshal(task)
-		if err != nil {
-			return nil, fmt.Errorf("classiccloud: encoding task: %w", err)
+		if _, err := c.env.Queue.SendMessageBatch(c.cfg.taskQueue(), bodies); err != nil {
+			return nil, fmt.Errorf("classiccloud: enqueueing batch from %s: %w", names[start], err)
 		}
-		if _, err := c.env.Queue.SendMessage(c.cfg.taskQueue(), body); err != nil {
-			return nil, fmt.Errorf("classiccloud: enqueueing %s: %w", name, err)
-		}
-		tasks = append(tasks, task)
 	}
 	return tasks, nil
 }
@@ -308,14 +316,6 @@ func (c Config) TasksFromIDs(taskIDs []string) []Task {
 		}
 	}
 	return tasks
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Report summarizes a completed job.
@@ -366,24 +366,27 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		if len(msgs) == 0 {
 			continue // the long poll already waited
 		}
+		// Decode every report BEFORE the delete: an in-process queue
+		// recycles a message's body buffer when it is deleted, so a body
+		// read afterwards may already hold another message's bytes.
 		receipts := make([]string, len(msgs))
+		reports := make([]monitorMsg, len(msgs))
 		for i, m := range msgs {
 			receipts[i] = m.ReceiptHandle
+			if json.Unmarshal(m.Body, &reports[i]) != nil {
+				// Corrupt report: skip it rather than abort — the batch is
+				// deleted below, and aborting would discard the valid
+				// completions travelling alongside it.
+				reports[i] = monitorMsg{}
+			}
 		}
 		results, err := c.env.Queue.DeleteMessageBatch(c.cfg.monitorQueue(), receipts)
 		if err != nil {
 			return Report{}, err
 		}
-		for i, m := range msgs {
-			if results[i] != nil {
-				continue // redelivered monitor message; count once via the map
-			}
-			var mm monitorMsg
-			if err := json.Unmarshal(m.Body, &mm); err != nil {
-				// Corrupt report: skip it rather than abort — the batch is
-				// already deleted, and aborting here would discard the
-				// valid completions travelling alongside it.
-				continue
+		for i, mm := range reports {
+			if results[i] != nil || mm.TaskID == "" {
+				continue // redelivered (counted once via the map) or corrupt
 			}
 			if mm.Status == StatusDead {
 				dead[mm.TaskID] = true

@@ -2,8 +2,11 @@ package classiccloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -590,5 +593,181 @@ func TestKillAbandonsInFlightWork(t *testing.T) {
 	}
 	if victim.Stats().TasksAbandoned.Load() == 0 {
 		t.Error("victim abandoned no tasks; Kill was a graceful stop")
+	}
+}
+
+// failingBatchQueue fails every SendMessageBatch after the first ok
+// calls, and records whether each sent task's input was already in
+// the blob store when its batch went out.
+type failingBatchQueue struct {
+	*queue.Service
+	blob          *blob.Store
+	ok            int
+	calls         int
+	missingInputs int
+}
+
+var errBatchRejected = errors.New("batch rejected")
+
+func (q *failingBatchQueue) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
+	q.calls++
+	for _, b := range bodies {
+		var task Task
+		if err := json.Unmarshal(b, &task); err != nil {
+			return nil, err
+		}
+		if ok, _ := q.blob.Exists(task.InputBucket, task.InputKey); !ok {
+			q.missingInputs++
+		}
+	}
+	if q.calls > q.ok {
+		return nil, errBatchRejected
+	}
+	return q.Service.SendMessageBatch(name, bodies)
+}
+
+func sortedNames(files map[string][]byte) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func TestSubmitFilesEnqueuesInBatches(t *testing.T) {
+	svc := queue.NewService(queue.Config{Seed: 1})
+	env := Env{Blob: blob.NewStore(blob.Config{}), Queue: svc}
+	cfg := Config{JobName: "batched"}
+	client := NewClient(env, cfg)
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	files := makeFiles(25)
+	base := svc.APIRequestsFor(cfg.TaskQueue())
+	tasks, err := client.SubmitFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.APIRequestsFor(cfg.TaskQueue()) - base; got != 3 {
+		t.Errorf("staging 25 files billed %d task-queue requests, want 3", got)
+	}
+	if !reflect.DeepEqual(tasks, cfg.TasksFromIDs(sortedNames(files))) {
+		t.Errorf("returned tasks are not TasksFromIDs of the sorted names: %v", tasks)
+	}
+	want := make(map[string]Task, len(tasks))
+	for _, task := range tasks {
+		want[task.ID] = task
+	}
+	msgs, err := svc.ReceiveMessageBatch(cfg.TaskQueue(), time.Minute, queue.MaxBatch, 0)
+	for len(msgs) > 0 && err == nil {
+		for _, m := range msgs {
+			var task Task
+			if err := json.Unmarshal(m.Body, &task); err != nil {
+				t.Fatalf("undecodable task message %q: %v", m.Body, err)
+			}
+			if task != want[task.ID] {
+				t.Errorf("message decodes to %+v, want %+v", task, want[task.ID])
+			}
+			delete(want, task.ID)
+		}
+		msgs, err = svc.ReceiveMessageBatch(cfg.TaskQueue(), time.Minute, queue.MaxBatch, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 0 {
+		t.Errorf("%d tasks never enqueued (or enqueued twice): %v", len(want), want)
+	}
+	for name, data := range files {
+		if !env.Blob.Equal(cfg.InputBucket(), name, data) {
+			t.Errorf("input %s not staged", name)
+		}
+	}
+}
+
+func TestSubmitFilesWrapsBatchError(t *testing.T) {
+	store := blob.NewStore(blob.Config{})
+	q := &failingBatchQueue{Service: queue.NewService(queue.Config{Seed: 1}), blob: store, ok: 1}
+	client := NewClient(Env{Blob: store, Queue: q}, Config{JobName: "rejected"})
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	files := makeFiles(25)
+	_, err := client.SubmitFiles(files)
+	if !errors.Is(err, errBatchRejected) {
+		t.Fatalf("SubmitFiles error = %v, want it to wrap %v", err, errBatchRejected)
+	}
+	// The second batch starts at the eleventh sorted name.
+	if first := sortedNames(files)[queue.MaxBatch]; !strings.Contains(err.Error(), first) {
+		t.Errorf("error %q does not name the failed batch's first file %s", err, first)
+	}
+	if q.calls != 2 {
+		t.Errorf("SubmitFiles made %d batch calls, want it to stop at the failed second", q.calls)
+	}
+	if q.missingInputs != 0 {
+		t.Errorf("%d tasks were sent before their input was uploaded", q.missingInputs)
+	}
+}
+
+// recyclingQueue overwrites, right after every monitor-queue delete,
+// the body buffers that delete just returned to the in-process queue's
+// pool, as a worker's next report batch does on a live queue.
+type recyclingQueue struct {
+	*queue.Service
+	bodyLen int
+	t       *testing.T
+}
+
+func (q recyclingQueue) DeleteMessageBatch(name string, receipts []string) ([]error, error) {
+	results, err := q.Service.DeleteMessageBatch(name, receipts)
+	junk := make([][]byte, len(receipts))
+	for i := range junk {
+		junk[i] = bytes.Repeat([]byte{'#'}, q.bodyLen)
+	}
+	if _, err := q.Service.SendMessageBatch("spare", junk); err != nil {
+		q.t.Errorf("reusing freed buffers: %v", err)
+	}
+	return results, err
+}
+
+// TestWaitForCompletionDecodesReportsBeforeDelete guards against
+// reading report bodies after deleting them: the in-process queue
+// recycles a deleted message's body buffer, so a report decoded after
+// its delete can hold another message's bytes and be lost.
+func TestWaitForCompletionDecodesReportsBeforeDelete(t *testing.T) {
+	svc := queue.NewService(queue.Config{Seed: 1})
+	if err := svc.CreateQueue("spare"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{JobName: "recycle", LongPollWait: -1}
+	tasks := cfg.TasksFromIDs([]string{"t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09",
+		"t10", "t11", "t12", "t13", "t14", "t15", "t16", "t17", "t18", "t19"})
+	var reports [][]byte
+	for _, task := range tasks {
+		mm, _ := json.Marshal(monitorMsg{TaskID: task.ID, Status: StatusDone})
+		reports = append(reports, mm)
+	}
+	env := Env{Blob: blob.NewStore(blob.Config{}), Queue: recyclingQueue{Service: svc, bodyLen: len(reports[0]), t: t}}
+	client := NewClient(env, cfg)
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range tasks {
+		if err := env.Blob.Put(task.OutputBucket, task.OutputKey, []byte("out")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for start := 0; start < len(reports); start += queue.MaxBatch {
+		if _, err := svc.SendMessageBatch(cfg.MonitorQueue(), reports[start:start+queue.MaxBatch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := client.WaitForCompletion(tasks, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != len(tasks) || rep.Duplicates != 0 {
+		t.Errorf("completed=%d duplicates=%d, want %d/0", rep.Completed, rep.Duplicates, len(tasks))
 	}
 }
