@@ -557,6 +557,7 @@ func (inst *Instance) workerLoop(workerID int) {
 // processBatch runs every task of one receive batch, then reports the
 // completed ones with a single batch send and acknowledges them with a
 // single batch delete — 3 queue requests per batch on the happy path.
+// A task is deleted only once its report was accepted.
 func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	// One lease renewer covers the whole batch: tasks queued behind a
 	// slow one must keep their leases alive too.
@@ -604,17 +605,21 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 			renew.remove(m.ReceiptHandle)
 		}
 	}
-	// Report BEFORE deleting: a crash between the two then redelivers
-	// the task — re-executed (idempotent) and re-reported (the broker's
-	// fold drops settled repeats) — instead of silently losing the
-	// settlement of a deleted task, which no retry would ever repair.
+	// Report BEFORE deleting: a crash between the two, or a report
+	// the queue refused, then redelivers the task — re-executed
+	// (idempotent) and re-reported (the broker's fold drops settled
+	// repeats) — instead of silently losing the settlement of a deleted
+	// task, which no retry would ever repair.
 	for start := 0; start < len(reports); start += queue.MaxBatch {
 		end := min(start+queue.MaxBatch, len(reports))
-		_, _ = inst.env.Queue.SendMessageBatch(inst.cfg.monitorQueue(), reports[start:end])
-	}
-	for start := 0; start < len(ackReceipts); start += queue.MaxBatch {
-		end := min(start+queue.MaxBatch, len(ackReceipts))
-		results, err := inst.env.Queue.DeleteMessageBatch(inst.cfg.taskQueue(), ackReceipts[start:end])
+		acks := ackReceipts[start:end]
+		if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.monitorQueue(), reports[start:end]); err != nil {
+			for _, receipt := range acks {
+				renew.remove(receipt)
+			}
+			continue
+		}
+		results, err := inst.env.Queue.DeleteMessageBatch(inst.cfg.taskQueue(), acks)
 		if err != nil {
 			continue
 		}
@@ -629,14 +634,20 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	}
 }
 
-// deadLetter removes a poison message from the task queue, parks its
-// body on the dead-letter queue (when configured), and reports the task
-// dead on the monitor queue so clients stop waiting for it.
+// deadLetter parks a poison message's body on the dead-letter queue
+// (when configured), reports the task dead on the monitor queue so
+// clients stop waiting for it, and only then removes it from the task
+// queue. If either send fails the message stays in the task queue: it
+// will be redelivered and dead-lettering retried.
 func (inst *Instance) deadLetter(workerID int, taskID string, m queue.Message) {
 	if inst.cfg.DeadLetterQueue != "" {
 		if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
-			// Keep the message in the task queue rather than lose it:
-			// it will be redelivered and dead-lettering retried.
+			return
+		}
+	}
+	if taskID != "" {
+		mm, _ := json.Marshal(monitorMsg{TaskID: taskID, WorkerID: workerID, Status: StatusDead})
+		if _, err := inst.env.Queue.SendMessage(inst.cfg.monitorQueue(), mm); err != nil {
 			return
 		}
 	}
@@ -645,10 +656,6 @@ func (inst *Instance) deadLetter(workerID int, taskID string, m queue.Message) {
 		return
 	}
 	inst.stats.DeadLettered.Add(1)
-	if taskID != "" {
-		mm, _ := json.Marshal(monitorMsg{TaskID: taskID, WorkerID: workerID, Status: StatusDead})
-		_, _ = inst.env.Queue.SendMessage(inst.cfg.monitorQueue(), mm)
-	}
 }
 
 // processTask is the worker pipeline of Figure 1: download → execute →

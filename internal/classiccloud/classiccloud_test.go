@@ -771,3 +771,103 @@ func TestWaitForCompletionDecodesReportsBeforeDelete(t *testing.T) {
 		t.Errorf("completed=%d duplicates=%d, want %d/0", rep.Completed, rep.Duplicates, len(tasks))
 	}
 }
+
+// reportRejectingQueue refuses the first failBatches report batches and
+// the first failSingles single reports sent to any monitor queue, as a
+// queue does during a transient outage.
+type reportRejectingQueue struct {
+	*queue.Service
+	failBatches, failSingles atomic.Int64
+}
+
+var errReportRejected = errors.New("report rejected")
+
+func (q *reportRejectingQueue) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
+	if strings.HasSuffix(name, "/monitor") && q.failBatches.Add(-1) >= 0 {
+		return nil, errReportRejected
+	}
+	return q.Service.SendMessageBatch(name, bodies)
+}
+
+func (q *reportRejectingQueue) SendMessage(name string, body []byte) (string, error) {
+	if strings.HasSuffix(name, "/monitor") && q.failSingles.Add(-1) >= 0 {
+		return "", errReportRejected
+	}
+	return q.Service.SendMessage(name, body)
+}
+
+// TestRejectedReportKeepsTasks: a worker whose report batch is refused
+// must not delete the tasks it reported, or their completions are lost
+// and the job never finishes. Kept, they are redelivered and reported
+// again.
+func TestRejectedReportKeepsTasks(t *testing.T) {
+	q := &reportRejectingQueue{Service: queue.NewService(queue.Config{Seed: 1})}
+	q.failBatches.Store(1)
+	env := Env{Blob: blob.NewStore(blob.Config{}), Queue: q}
+	cfg := Config{JobName: "rejected-report", VisibilityTimeout: 50 * time.Millisecond}
+	client := NewClient(env, cfg)
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := client.SubmitFiles(makeFiles(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := StartInstance(env, cfg, upperExec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	rep, err := client.WaitForCompletion(tasks, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != len(tasks) {
+		t.Errorf("Completed = %d, want %d", rep.Completed, len(tasks))
+	}
+	if q.failBatches.Load() >= 0 {
+		t.Error("no report batch was rejected; the test injected nothing")
+	}
+}
+
+// TestRejectedDeadReportKeepsPoisonTask: the dead report of a poison
+// task goes out before the task is deleted, so a refused report leaves
+// the task to be dead-lettered again instead of never settling.
+func TestRejectedDeadReportKeepsPoisonTask(t *testing.T) {
+	q := &reportRejectingQueue{Service: queue.NewService(queue.Config{Seed: 1})}
+	q.failSingles.Store(1)
+	env := Env{Blob: blob.NewStore(blob.Config{}), Queue: q}
+	poison := FuncExecutor{
+		AppName: "poison",
+		Fn: func(task Task, input []byte) ([]byte, error) {
+			if task.ID == "file001.txt" {
+				return nil, errors.New("permanently broken input")
+			}
+			return bytes.ToUpper(input), nil
+		},
+	}
+	cfg := Config{JobName: "rejected-dead", VisibilityTimeout: 20 * time.Millisecond, MaxReceives: 2}
+	client := NewClient(env, cfg)
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := client.SubmitFiles(makeFiles(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := StartInstance(env, cfg, poison, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	rep, err := client.WaitForCompletion(tasks, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2 || rep.DeadLettered != 1 {
+		t.Errorf("Completed = %d, DeadLettered = %d, want 2 and 1", rep.Completed, rep.DeadLettered)
+	}
+	if q.failSingles.Load() >= 0 {
+		t.Error("no dead report was rejected; the test injected nothing")
+	}
+}

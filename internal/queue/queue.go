@@ -46,6 +46,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -424,8 +425,8 @@ type queueState struct {
 	// rotate per delivery.
 	byID   map[string]*message
 	nextID int
-	// notify is closed and replaced to broadcast "a message may have
-	// become visible" to long-poll waiters.
+	// notify is closed to broadcast "a message may have become
+	// visible" to long-poll waiters; nil while nobody waits.
 	notify chan struct{}
 	// dead is set when the queue is deleted so blocked receivers fail
 	// with ErrNoSuchQueue instead of waiting forever.
@@ -875,20 +876,18 @@ func (s *Service) TransferInBatch(queueName string, items []TransferItem) ([]str
 // will assign — computed from nextID before sendLocked advances it —
 // so a fold reproduces them exactly.
 func (s *Service) sendBatch(q *queueState, bodies [][]byte, recvs []int) ([]string, error) {
-	ids := make([]string, 0, len(bodies))
+	ids := make([]string, len(bodies))
 	err := s.durAppend(func(ds *durableState) error {
 		q.mu.Lock()
 		defer q.mu.Unlock()
 		if q.dead {
 			return ErrNoSuchQueue
 		}
+		for i := range ids {
+			ids[i] = joinInt(q.name, "-", q.nextID+i+1)
+		}
 		if ds != nil {
-			rec := &durRecord{Op: opSend, Q: q.name, Recvs: recvs, NextID: q.nextID + len(bodies)}
-			rec.IDs = make([]string, len(bodies))
-			for i := range bodies {
-				rec.IDs[i] = fmt.Sprintf("%s-%d", q.name, q.nextID+i+1)
-			}
-			rec.Bodies = bodies
+			rec := &durRecord{Op: opSend, Q: q.name, IDs: ids, Bodies: bodies, Recvs: recvs, NextID: q.nextID + len(bodies)}
 			if err := ds.append(rec); err != nil {
 				return err
 			}
@@ -898,7 +897,7 @@ func (s *Service) sendBatch(q *queueState, bodies [][]byte, recvs []int) ([]stri
 			if recvs != nil {
 				r = recvs[i]
 			}
-			ids = append(ids, q.sendLocked(q.name, body, r))
+			q.sendLocked(ids[i], body, r)
 		}
 		q.broadcastLocked()
 		return nil
@@ -909,12 +908,20 @@ func (s *Service) sendBatch(q *queueState, bodies [][]byte, recvs []int) ([]stri
 	return ids, nil
 }
 
-// sendLocked appends one message to the visible list with `receives`
-// prior deliveries (0 for ordinary sends). Caller holds q.mu.
-func (q *queueState) sendLocked(queueName string, body []byte, receives int) string {
+// joinInt returns prefix+sep+n in decimal, the string
+// fmt.Sprintf("%s%s%d", prefix, sep, n) builds, in one allocation.
+func joinInt(prefix, sep string, n int) string {
+	var digits [20]byte
+	return prefix + sep + string(strconv.AppendInt(digits[:0], int64(n), 10))
+}
+
+// sendLocked appends message id — the queue's next ID — to the visible
+// list with `receives` prior deliveries (0 for ordinary sends). Caller
+// holds q.mu.
+func (q *queueState) sendLocked(id string, body []byte, receives int) {
 	q.nextID++
 	m := &message{
-		id:       fmt.Sprintf("%s-%d", queueName, q.nextID),
+		id:       id,
 		receives: receives,
 		heapIdx:  -1,
 	}
@@ -926,14 +933,25 @@ func (q *queueState) sendLocked(queueName string, body []byte, receives int) str
 	}
 	m.elem = q.visible.PushBack(m)
 	q.byID[m.id] = m
-	return m.id
 }
 
 // broadcastLocked wakes every long-poll waiter on the queue. Caller
 // holds q.mu.
 func (q *queueState) broadcastLocked() {
-	close(q.notify)
-	q.notify = make(chan struct{})
+	if q.notify != nil {
+		close(q.notify)
+		q.notify = nil
+	}
+}
+
+// notifyLocked returns the channel the next broadcastLocked closes,
+// creating it on demand so broadcasts with nobody waiting allocate
+// nothing. Caller holds q.mu.
+func (q *queueState) notifyLocked() chan struct{} {
+	if q.notify == nil {
+		q.notify = make(chan struct{})
+	}
+	return q.notify
 }
 
 // expireLocked releases every in-flight message whose visibility timeout
@@ -970,24 +988,21 @@ type delivery struct {
 // visible messages (non-duplicate picks are virtually hidden for later
 // picks in the same batch, duplicates stay eligible), and the rng draw
 // sequence matches what sequential single receives would consume.
-// Caller holds q.mu and has already run expireLocked.
-func (s *Service) planReceivesLocked(q *queueState, max int) []delivery {
-	var plan []delivery
-	var hidden []*message
-	isHidden := func(m *message) bool {
-		for _, h := range hidden {
-			if h == m {
-				return true
-			}
-		}
-		return false
-	}
+// Caller holds q.mu and has already run expireLocked. The plan is
+// appended to plan, which callers pass with room for max deliveries.
+func (s *Service) planReceivesLocked(q *queueState, max int, plan []delivery) []delivery {
+	var hiddenBuf [MaxBatch]*message
+	var candBuf [16]*message
+	hidden := hiddenBuf[:0]
 	for len(plan) < max {
-		var cands []*message
+		cands := candBuf[:0]
+	visible:
 		for e := q.visible.Front(); e != nil && len(cands) < s.cfg.ShuffleWindow; e = e.Next() {
 			m := e.Value.(*message)
-			if isHidden(m) {
-				continue
+			for _, h := range hidden {
+				if h == m {
+					continue visible
+				}
 			}
 			cands = append(cands, m)
 		}
@@ -1006,7 +1021,7 @@ func (s *Service) planReceivesLocked(q *queueState, max int) []delivery {
 			m:        m,
 			dup:      dup,
 			receives: recvs,
-			receipt:  fmt.Sprintf("%s#r%d", m.id, recvs),
+			receipt:  joinInt(m.id, "#r", recvs),
 		})
 		if !dup {
 			hidden = append(hidden, m)
@@ -1049,7 +1064,12 @@ func (q *queueState) commitDeliveriesLocked(plan []delivery, now time.Time, visi
 // recvRecord renders a planned batch as its journal record. Vis
 // carries the lease expiry each non-duplicate commit will set.
 func recvRecord(q *queueState, plan []delivery, now time.Time, visibility time.Duration) *durRecord {
-	rec := &durRecord{Op: opReceive, Q: q.name, T: now}
+	n := len(plan)
+	rec := &durRecord{
+		Op: opReceive, Q: q.name, T: now,
+		IDs: make([]string, 0, n), Receipts: make([]string, 0, n),
+		Vis: make([]time.Time, 0, n), Dup: make([]bool, 0, n),
+	}
 	for i := range plan {
 		d := &plan[i]
 		rec.IDs = append(rec.IDs, d.m.id)
@@ -1154,7 +1174,8 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 			}
 			ps.now = s.cfg.Clock.Now()
 			q.expireLocked(ps.now)
-			plan := s.planReceivesLocked(q, max)
+			var planBuf [MaxBatch]delivery
+			plan := s.planReceivesLocked(q, max, planBuf[:0])
 			if len(plan) > 0 {
 				if ds != nil {
 					if err := ds.append(recvRecord(q, plan, ps.now, visibility)); err != nil {
@@ -1167,7 +1188,7 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 			// Nothing deliverable: capture the wake channels while still
 			// holding the lock so a send between here and the select
 			// below cannot slip past unnoticed.
-			ps.notify = q.notify
+			ps.notify = q.notifyLocked()
 			if len(q.inflight) > 0 {
 				if d := q.inflight[0].visibleAt.Sub(ps.now); d > 0 {
 					ps.expiryIn = d
@@ -1270,7 +1291,8 @@ func (s *Service) DeleteMessageBatch(queueName string, receipts []string) ([]err
 		// Claim receipts as they validate so a receipt repeated within
 		// the batch fails its second entry, exactly like sequential
 		// deletes would.
-		var victims []*message
+		var victimBuf [MaxBatch]*message
+		victims := victimBuf[:0]
 		for i, r := range receipts {
 			m, ok := q.byReceipt[r]
 			if !ok {

@@ -384,6 +384,7 @@ func (r *Router) migrate(m pendingMove) error {
 	// spawn a second one only if there isn't one.
 	m.rt.mu.Lock()
 	m.rt.shard = m.to
+	m.rt.moves++
 	alreadyForwarding := m.rt.draining[m.from]
 	m.rt.draining[m.from] = true
 	close(frozen)
@@ -526,7 +527,7 @@ func (r *Router) forwardVisible(name string, fromB queue.API) {
 		for i, msg := range msgs {
 			receipts[i] = msg.ReceiptHandle
 		}
-		_, ownerB, err := r.ownerBackend("", name)
+		_, _, ownerB, err := r.ownerBackend("", name)
 		if err != nil {
 			return // queue deleted while forwarding
 		}

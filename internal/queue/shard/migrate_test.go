@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -520,5 +521,95 @@ func TestRemoveShardRefusals(t *testing.T) {
 	}
 	if err := r.AddShard("bad~id", queue.NewService(queue.Config{})); !errors.Is(err, ErrBadShardID) {
 		t.Errorf("bad shard id: %v", err)
+	}
+}
+
+// parkedPoll wraps a shard. Its first long poll parks until the test
+// releases it and then answers ErrNoSuchQueue, as a shard answers a
+// poll whose queue migrated off it mid-wait.
+type parkedPoll struct {
+	queue.API
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkedPoll) ReceiveMessageBatch(q string, vis time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
+	if wait > 0 && p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+		return nil, queue.ErrNoSuchQueue
+	}
+	return p.API.ReceiveMessageBatch(q, vis, max, wait)
+}
+
+// groupOwnedBy returns a placement group the ring assigns to shard.
+func groupOwnedBy(t *testing.T, r *Router, shard string) string {
+	t.Helper()
+	for i := 0; i < 256; i++ {
+		g := fmt.Sprintf("g%d", i)
+		r.mu.RLock()
+		owner, _ := r.ring.owner(g)
+		r.mu.RUnlock()
+		if owner == shard {
+			return g
+		}
+	}
+	t.Fatalf("no group lands on shard %s", shard)
+	return ""
+}
+
+// TestPollSurvivesMigrationAwayAndBack: a long poll dispatched to shard
+// a is answered ErrNoSuchQueue after its queue moved a→b→a. The owner
+// is a again, but the queue did move under the call, so the router
+// must retry instead of reporting a live queue as missing.
+func TestPollSurvivesMigrationAwayAndBack(t *testing.T) {
+	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	defer r.Close()
+	a := &parkedPoll{API: queue.NewService(queue.Config{Seed: 1}), parked: make(chan struct{}), release: make(chan struct{})}
+	if err := r.AddShard("a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddShard("b", queue.NewService(queue.Config{Seed: 2})); err != nil {
+		t.Fatal(err)
+	}
+	onA, onB := groupOwnedBy(t, r, "a"), groupOwnedBy(t, r, "b")
+	const qn = "hop"
+	if err := r.CreateQueue(qn); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Regroup(qn, onA); err != nil {
+		t.Fatal(err)
+	}
+
+	a.armed.Store(true)
+	type result struct {
+		msgs []queue.Message
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		msgs, err := r.ReceiveMessageBatch(qn, time.Minute, 1, 5*time.Second)
+		done <- result{msgs, err}
+	}()
+	<-a.parked
+	for _, g := range []string{onB, onA} {
+		if err := r.Regroup(qn, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Owners()[qn]; got != "a" {
+		t.Fatalf("queue owned by %s after moving back, want a", got)
+	}
+	if _, err := r.SendMessage(qn, []byte("after the round trip")); err != nil {
+		t.Fatal(err)
+	}
+	close(a.release)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("poll across a→b→a: %v", res.err)
+	}
+	if len(res.msgs) != 1 || string(res.msgs[0].Body) != "after the round trip" {
+		t.Fatalf("poll returned %d messages, want the one sent after the moves", len(res.msgs))
 	}
 }

@@ -325,6 +325,10 @@ type route struct {
 	// draining holds old shards whose in-flight stragglers a background
 	// forwarder is still moving over.
 	draining map[string]bool
+	// moves counts completed migrations. A call that fails with
+	// ErrNoSuchQueue retries when it changed since dispatch: the owner
+	// ID alone cannot tell, since a queue can move away and back.
+	moves int
 }
 
 var (
@@ -400,32 +404,39 @@ func (r *Router) APIRequests() int64 { return r.billing.Total() }
 func (r *Router) APIRequestsFor(queueName string) int64 { return r.billing.For(queueName) }
 
 // ownerBackend resolves the queue's owning shard, waiting out any
-// in-progress migration. The returned backend is trace-scoped and the
-// shard's request rate is bumped — every caller represents one backend
-// hop.
-func (r *Router) ownerBackend(trace, queueName string) (string, queue.API, error) {
+// in-progress migration, and reports the route's migration count at
+// that moment. The returned backend is trace-scoped and the shard's
+// request rate is bumped — every caller represents one backend hop.
+func (r *Router) ownerBackend(trace, queueName string) (string, int, queue.API, error) {
 	r.mu.RLock()
 	rt := r.routes[queueName]
 	r.mu.RUnlock()
 	if rt == nil {
-		return "", nil, queue.ErrNoSuchQueue
+		return "", 0, nil, queue.ErrNoSuchQueue
 	}
+	id, group, moves := rt.settled()
+	r.mu.RLock()
+	b := r.shards[id]
+	r.mu.RUnlock()
+	if b == nil {
+		return "", 0, nil, queue.ErrNoSuchQueue
+	}
+	r.markShard(id)
+	if r.met != nil {
+		r.markGroup(effectiveGroup(group, queueName))
+	}
+	return id, moves, scopeTrace(b, trace), nil
+}
+
+// settled waits out any in-progress migration of the route and returns
+// its owner, explicit group and migration count.
+func (rt *route) settled() (shard, group string, moves int) {
 	for {
 		rt.mu.Lock()
 		if rt.frozen == nil {
-			id, group := rt.shard, rt.group
+			shard, group, moves = rt.shard, rt.group, rt.moves
 			rt.mu.Unlock()
-			r.mu.RLock()
-			b := r.shards[id]
-			r.mu.RUnlock()
-			if b == nil {
-				return "", nil, queue.ErrNoSuchQueue
-			}
-			r.markShard(id)
-			if r.met != nil {
-				r.markGroup(effectiveGroup(group, queueName))
-			}
-			return id, scopeTrace(b, trace), nil
+			return shard, group, moves
 		}
 		ch := rt.frozen
 		rt.mu.Unlock()
@@ -434,22 +445,28 @@ func (r *Router) ownerBackend(trace, queueName string) (string, queue.API, error
 }
 
 // onOwner runs fn against the queue's owning shard. When the shard
-// answers ErrNoSuchQueue but the route has moved since the call was
-// dispatched (a migration completed underneath it), the call retries on
-// the new owner — the sentinel lets the router tell "wrong shard" from
-// "queue deleted".
+// answers ErrNoSuchQueue but the queue has migrated since the call was
+// dispatched, the call retries on the current owner — the sentinel lets
+// the router tell "wrong shard" from "queue deleted". It retries for
+// as long as migrations keep completing under it: comparing owner IDs
+// instead would miss a queue that moved away and back.
 func (r *Router) onOwner(trace, queueName string, fn func(shardID string, b queue.API) error) error {
-	for attempt := 0; ; attempt++ {
-		id, b, err := r.ownerBackend(trace, queueName)
+	for {
+		id, moves, b, err := r.ownerBackend(trace, queueName)
 		if err != nil {
 			return err
 		}
 		err = fn(id, b)
-		if err == nil || !errors.Is(err, queue.ErrNoSuchQueue) || attempt >= 2 {
+		if err == nil || !errors.Is(err, queue.ErrNoSuchQueue) {
 			return err
 		}
-		newID, _, rerr := r.ownerBackend(trace, queueName)
-		if rerr != nil || newID == id {
+		r.mu.RLock()
+		rt := r.routes[queueName]
+		r.mu.RUnlock()
+		if rt == nil {
+			return err
+		}
+		if _, _, now := rt.settled(); now == moves {
 			return err
 		}
 	}

@@ -32,9 +32,11 @@ type Server struct {
 	Metrics *telemetry.Registry
 	// MaxFrame caps one frame body (default DefaultMaxFrame).
 	MaxFrame int
-	// MaxConcurrent caps in-flight handlers per connection (default
-	// 256); excess frames wait in the reader, applying backpressure
-	// through the transport instead of unbounded goroutine growth.
+	// MaxConcurrent caps the handler goroutines of one connection
+	// (default 256). Handlers live as long as their connection and each
+	// runs one request at a time; when all of them are busy the reader
+	// stops reading frames, which pushes back on the client through the
+	// transport instead of growing goroutines without bound.
 	MaxConcurrent int
 
 	initOnce sync.Once
@@ -122,7 +124,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			bw:      bufio.NewWriterSize(nc, 64<<10),
 			writeCh: make(chan *[]byte, 64),
 			done:    make(chan struct{}),
-			sem:     make(chan struct{}, s.MaxConcurrent),
+			work:    make(chan request),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -162,9 +164,17 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// srvConn is one accepted connection: a reader loop spawning a handler
-// goroutine per request frame, and a writer goroutine serializing
+// srvConn is one accepted connection: a reader loop handing request
+// frames to handler goroutines, and a writer goroutine serializing
 // response frames with coalesced flushes.
+//
+// Handlers are kept for the life of the connection rather than started
+// per frame. A request runs deep (router, shard, journal encoding), so
+// a fresh goroutine would grow its stack from the minimum on every
+// frame; a kept handler reuses the stack its earlier requests grew.
+// The reader starts a handler only when no idle one takes the frame,
+// so a connection has as many handlers as it ever had requests in
+// flight, at most MaxConcurrent.
 type srvConn struct {
 	srv       *Server
 	nc        net.Conn
@@ -173,7 +183,18 @@ type srvConn struct {
 	writeCh   chan *[]byte
 	done      chan struct{}
 	closeOnce sync.Once
-	sem       chan struct{}
+	// work passes a frame to an idle handler. It is unbuffered, so a
+	// send succeeds only when a handler is ready to run the frame.
+	work chan request
+	// handlers counts the started handlers; only the reader touches it.
+	handlers int
+}
+
+// request is one parsed frame and the pooled buffer its payload
+// aliases.
+type request struct {
+	f   Frame
+	buf *[]byte
 }
 
 func (c *srvConn) shutdown() {
@@ -210,16 +231,36 @@ func (c *srvConn) serve() {
 		if c.srv.met != nil {
 			c.srv.met.frames.Inc()
 		}
+		req := request{f: f, buf: bp}
 		select {
-		case c.sem <- struct{}{}:
+		case c.work <- req:
+			continue
+		default:
+		}
+		if c.handlers < c.srv.MaxConcurrent {
+			c.handlers++
+			go c.handler(req)
+			continue
+		}
+		select {
+		case c.work <- req:
 		case <-c.done:
 			putBuf(bp)
 			return
 		}
-		go func() {
-			defer func() { <-c.sem }()
-			c.handle(f, bp)
-		}()
+	}
+}
+
+// handler runs req, then every frame the reader hands it, until the
+// connection shuts down.
+func (c *srvConn) handler(req request) {
+	for {
+		c.handle(req.f, req.buf)
+		select {
+		case req = <-c.work:
+		case <-c.done:
+			return
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -477,4 +478,76 @@ func TestWireMetrics(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// handlerGoroutines counts the live connection handler goroutines of
+// every wire server in the process.
+func handlerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("wire.(*srvConn).handler("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitHandlers waits until exactly want handler goroutines exist.
+func waitHandlers(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for handlerGoroutines() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d handler goroutines, want %d", handlerGoroutines(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHandlersBoundedAndReleased parks twice MaxConcurrent long polls
+// on one connection: the server must run them on at most MaxConcurrent
+// handler goroutines, leaving the rest unread, and every handler must
+// exit once the client has gone and the parked polls have returned.
+func TestHandlersBoundedAndReleased(t *testing.T) {
+	waitHandlers(t, 0) // handlers of earlier tests' servers
+	const maxConc = 4
+	svc := queue.NewService(queue.Config{})
+	if err := svc.CreateQueue("empty"); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, &Server{Service: svc, MaxConcurrent: maxConc})
+	c := dialTest(t, addr, Options{Conns: 1})
+
+	var polls sync.WaitGroup
+	for i := 0; i < 2*maxConc; i++ {
+		polls.Add(1)
+		go func() {
+			defer polls.Done()
+			_, _ = c.ReceiveMessageBatch("empty", time.Minute, 1, time.Minute)
+		}()
+	}
+	waitHandlers(t, maxConc)
+	for i := 0; i < 20; i++ {
+		if n := handlerGoroutines(); n > maxConc {
+			t.Fatalf("%d handler goroutines on one connection, MaxConcurrent %d", n, maxConc)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c.Close()
+	polls.Wait()
+	// Wake every poll, parked or still unread, so each handler's
+	// service call returns.
+	bodies := make([][]byte, 2*maxConc)
+	for i := range bodies {
+		bodies[i] = []byte("wake")
+	}
+	for start := 0; start < len(bodies); start += queue.MaxBatch {
+		end := min(start+queue.MaxBatch, len(bodies))
+		if _, err := svc.SendMessageBatch("empty", bodies[start:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitHandlers(t, 0)
 }
