@@ -11,9 +11,10 @@ import (
 // Allocation budgets for one cycle of MaxBatch messages: a
 // SendMessageBatch, a ReceiveMessageBatch of all of them and a
 // DeleteMessageBatch of their receipts. Per message the ephemeral
-// service needs its ID, its receipt, its *message and its list element;
-// the rest is per call (the ID and result slices, the delivered
-// messages). A durable service adds one journal append per call.
+// service needs its ID, its receipt, its *message, its list element
+// and the body pool's slice header on delete; the rest is per call
+// (the ID and result slices, the delivered messages). A durable
+// service adds a few allocations per journaled call.
 // Formatting IDs with fmt, growing per-pick slices while planning a
 // receive, allocating a notify channel on every send, or encoding
 // journal records by reflection each break these budgets.
