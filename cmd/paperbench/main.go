@@ -1,7 +1,6 @@
 // Command paperbench regenerates every table and figure of the paper's
 // evaluation. Each experiment prints the same rows or series the paper
-// reports; absolute values come from the calibrated performance model
-// (see EXPERIMENTS.md for paper-versus-measured).
+// reports; absolute values come from the calibrated performance model.
 //
 // Usage:
 //
@@ -11,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -19,7 +17,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/blob"
@@ -340,30 +337,18 @@ func queueBench() {
 	reg := telemetry.NewRegistry()
 	{
 		svc := queue.NewService(queue.Config{Seed: 1, Metrics: reg})
-		const queues, workers, cycles = 8, 8, 2000
-		for qi := 0; qi < queues; qi++ {
-			svc.CreateQueue(fmt.Sprintf("q%d", qi))
+		const workers, cycles = 8, 2000
+		qs := queueNames("q%d", 8)
+		if err := createQueues(svc, qs); err != nil {
+			fail(err)
+			return
 		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for qi := 0; qi < queues; qi++ {
-			qn := fmt.Sprintf("q%d", qi)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < cycles; i++ {
-						svc.SendMessage(qn, []byte("task"))
-						m, ok, _ := svc.ReceiveMessage(qn, time.Hour)
-						if ok {
-							svc.DeleteMessage(qn, m.ReceiptHandle)
-						}
-					}
-				}()
-			}
+		elapsed, err := runLoad(svc, nil, stream{queues: qs, workers: workers, cycles: cycles, body: []byte("task")})
+		if err != nil {
+			fail(err)
+			return
 		}
-		wg.Wait()
-		rep.ContentionOpsPerSec = float64(queues*workers*cycles) / time.Since(start).Seconds()
+		rep.ContentionOpsPerSec = float64(len(qs)*workers*cycles) / elapsed.Seconds()
 		recv := reg.Histogram(telemetry.Label("queue_op_ns", "op", "receive"))
 		rep.ReceiveP50Ns = float64(recv.Quantile(0.50).Nanoseconds())
 		rep.ReceiveP99Ns = float64(recv.Quantile(0.99).Nanoseconds())
@@ -373,10 +358,9 @@ func queueBench() {
 	{
 		svc := queue.NewService(queue.Config{Seed: 2})
 		svc.CreateQueue("q")
-		for i := 0; i < 100_000; i++ {
-			svc.SendMessage("q", []byte("dead"))
-			m, _, _ := svc.ReceiveMessage("q", time.Hour)
-			svc.DeleteMessage("q", m.ReceiptHandle)
+		if _, err := runLoad(svc, nil, stream{queues: []string{"q"}, workers: 1, cycles: 100_000, body: []byte("dead")}); err != nil {
+			fail(err)
+			return
 		}
 		for i := 0; i < 100; i++ {
 			svc.SendMessage("q", []byte("live"))
@@ -398,10 +382,9 @@ func queueBench() {
 		svc.CreateQueue("single")
 		base := svc.APIRequestsFor("single")
 		const tasks = 1000
-		for i := 0; i < tasks; i++ {
-			svc.SendMessage("single", []byte("t"))
-			m, _, _ := svc.ReceiveMessage("single", time.Hour)
-			svc.DeleteMessage("single", m.ReceiptHandle)
+		if _, err := runLoad(svc, nil, stream{queues: []string{"single"}, workers: 1, cycles: tasks, body: []byte("t")}); err != nil {
+			fail(err)
+			return
 		}
 		rep.SingleRequestsPerTask = float64(svc.APIRequestsFor("single")-base) / tasks
 
@@ -432,7 +415,7 @@ func queueBench() {
 			at      time.Time
 			receipt string
 		}
-		medianRun := func() float64 {
+		medianRun := func() (float64, error) {
 			samples := make([]time.Duration, 0, rounds)
 			for i := 0; i < rounds; i++ {
 				ready := make(chan struct{})
@@ -455,15 +438,9 @@ func queueBench() {
 				svc.DeleteMessage("q", w.receipt)
 			}
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			return float64(samples[rounds/2].Nanoseconds())
+			return float64(samples[rounds/2].Nanoseconds()), nil
 		}
-		best := medianRun()
-		for i := 1; i < runs; i++ {
-			if m := medianRun(); m < best {
-				best = m
-			}
-		}
-		rep.LongPollWakeupNs = best
+		rep.LongPollWakeupNs, _ = bestOf(runs, lower, medianRun) // medianRun never fails
 	}
 
 	fmt.Printf("contention (8 queues × 8 workers):  %12.0f cycles/s\n", rep.ContentionOpsPerSec)
@@ -473,16 +450,7 @@ func queueBench() {
 	fmt.Printf("long-poll wakeup latency:           %12.0f ns\n", rep.LongPollWakeupNs)
 	fmt.Printf("contention receive p50/p99:         %12.0f / %.0f ns\n", rep.ReceiveP50Ns, rep.ReceiveP99Ns)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_queue.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_queue.json")
+	writeBaseline("BENCH_queue.json", rep)
 	// The raw registry, exactly as a daemon's /metrics would serve it —
 	// kept as a CI artifact (not a gated baseline) so a regression
 	// investigation starts from the full histograms, not two percentiles.
@@ -575,74 +543,46 @@ func queueShard() {
 		ModeledServiceTimeMs: 1,
 	}
 	const cyclesPerWorker = 20
+	qs := queueNames("q%d", rep.Queues)
 
-	runCurve := func(nShards int) (cyclesPerSec, requestsPerSec float64, err error) {
-		router := shard.NewRouter(shard.Config{})
-		defer router.Close()
-		for i := 0; i < nShards; i++ {
-			svc := queue.NewService(queue.Config{
-				Seed:               int64(i + 1),
-				ServiceTime:        time.Duration(rep.ModeledServiceTimeMs * float64(time.Millisecond)),
-				ServiceConcurrency: rep.ServiceConcurrency,
-			})
-			if err := router.AddShard(fmt.Sprintf("s%d", i), svc); err != nil {
-				return 0, 0, err
-			}
+	type curveRun struct{ cyclesPerSec, requestsPerSec float64 }
+	runCurve := func(nShards int) (curveRun, error) {
+		router, err := newFleet(nShards, throttledShards(rep.ModeledServiceTimeMs, rep.ServiceConcurrency))
+		if err != nil {
+			return curveRun{}, err
 		}
-		for q := 0; q < rep.Queues; q++ {
-			if err := router.CreateQueue(fmt.Sprintf("q%d", q)); err != nil {
-				return 0, 0, err
-			}
+		defer router.Close()
+		if err := createQueues(router, qs); err != nil {
+			return curveRun{}, err
 		}
 		baseReq := router.APIRequests()
-		var wg sync.WaitGroup
-		start := time.Now()
-		for q := 0; q < rep.Queues; q++ {
-			qn := fmt.Sprintf("q%d", q)
-			for w := 0; w < rep.WorkersPerQueue; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < cyclesPerWorker; i++ {
-						router.SendMessage(qn, []byte("task"))
-						m, ok, _ := router.ReceiveMessageWait(qn, time.Hour, 50*time.Millisecond)
-						if ok {
-							router.DeleteMessage(qn, m.ReceiptHandle)
-						}
-					}
-				}()
-			}
+		elapsed, err := runLoad(router, nil, stream{
+			queues: qs, workers: rep.WorkersPerQueue, cycles: cyclesPerWorker,
+			body: []byte("task"), wait: 50 * time.Millisecond,
+		})
+		if err != nil {
+			return curveRun{}, err
 		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
 		cycles := float64(rep.Queues * rep.WorkersPerQueue * cyclesPerWorker)
-		return cycles / elapsed, float64(router.APIRequests()-baseReq) / elapsed, nil
+		return curveRun{cycles / elapsed.Seconds(), float64(router.APIRequests()-baseReq) / elapsed.Seconds()}, nil
 	}
 
-	// Best of 2 per point: a run degraded by background load would
-	// otherwise poison the baseline (or a CI comparison) for every
-	// later measurement.
 	var oneShard float64
 	for _, n := range []int{1, 2, 4, 8} {
-		var cps, rps float64
-		for run := 0; run < 2; run++ {
-			c, q, err := runCurve(n)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if q > rps {
-				cps, rps = c, q
-			}
+		best, err := bestOf(2, func(a, b curveRun) bool { return a.requestsPerSec > b.requestsPerSec },
+			func() (curveRun, error) { return runCurve(n) })
+		if err != nil {
+			fail(err)
+			return
 		}
 		if n == 1 {
-			oneShard = rps
+			oneShard = best.requestsPerSec
 		}
 		rep.Curve = append(rep.Curve, shardPoint{
 			Shards:         n,
-			CyclesPerSec:   cps,
-			RequestsPerSec: rps,
-			Speedup:        rps / oneShard,
+			CyclesPerSec:   best.cyclesPerSec,
+			RequestsPerSec: best.requestsPerSec,
+			Speedup:        best.requestsPerSec / oneShard,
 		})
 	}
 
@@ -650,45 +590,56 @@ func queueShard() {
 	// service directly.
 	{
 		const cycles = 20_000
-		cycle := func(api queue.API) float64 {
-			api.CreateQueue("bench")
-			start := time.Now()
-			for i := 0; i < cycles; i++ {
-				api.SendMessage("bench", []byte("t"))
-				m, ok, _ := api.ReceiveMessage("bench", time.Hour)
-				if ok {
-					api.DeleteMessage("bench", m.ReceiptHandle)
-				}
+		cycle := func(api queue.API) (float64, error) {
+			if err := api.CreateQueue("bench"); err != nil {
+				return 0, err
 			}
-			return float64(time.Since(start).Nanoseconds()) / cycles
+			elapsed, err := runLoad(api, nil, stream{queues: []string{"bench"}, workers: 1, cycles: cycles, body: []byte("t")})
+			return float64(elapsed.Nanoseconds()) / cycles, err
 		}
-		direct := cycle(queue.NewService(queue.Config{Seed: 1}))
-		router := shard.NewRouter(shard.Config{})
-		router.AddShard("s0", queue.NewService(queue.Config{Seed: 1}))
-		routed := cycle(router)
+		direct, err := cycle(queue.NewService(queue.Config{Seed: 1}))
+		if err != nil {
+			fail(err)
+			return
+		}
+		router, err := newFleet(1, plainShard)
+		if err != nil {
+			fail(err)
+			return
+		}
+		routed, err := cycle(router)
 		router.Close()
+		if err != nil {
+			fail(err)
+			return
+		}
 		rep.RouterOverheadNs = routed - direct
 	}
 
 	// Rebalance: the fraction of queues a fifth shard pulls off four.
 	{
-		router := shard.NewRouter(shard.Config{})
-		for i := 0; i < 4; i++ {
-			router.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)}))
+		router, err := newFleet(4, plainShard)
+		if err != nil {
+			fail(err)
+			return
 		}
+		defer router.Close()
 		const n = 256
-		for q := 0; q < n; q++ {
-			router.CreateQueue(fmt.Sprintf("job-%d-tasks", q))
+		if err := createQueues(router, queueNames("job-%d-tasks", n)); err != nil {
+			fail(err)
+			return
 		}
 		before := router.Owners()
-		router.AddShard("s4", queue.NewService(queue.Config{Seed: 5}))
+		if err := router.AddShard("s4", queue.NewService(queue.Config{Seed: 5})); err != nil {
+			fail(err)
+			return
+		}
 		moved := 0
 		for qn, owner := range router.Owners() {
 			if before[qn] != owner {
 				moved++
 			}
 		}
-		router.Close()
 		rep.RebalanceMovedFraction = float64(moved) / n
 	}
 
@@ -699,13 +650,11 @@ func queueShard() {
 	{
 		const jobs, nShards = 64, 4
 		study := func(sep string) (crossOps, shardsPerJob float64, err error) {
-			router := shard.NewRouter(shard.Config{})
-			defer router.Close()
-			for i := 0; i < nShards; i++ {
-				if err := router.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {
-					return 0, 0, err
-				}
+			router, err := newFleet(nShards, plainShard)
+			if err != nil {
+				return 0, 0, err
 			}
+			defer router.Close()
 			suffixes := []string{"tasks", "monitor", "dead"}
 			for j := 0; j < jobs; j++ {
 				for _, sfx := range suffixes {
@@ -769,16 +718,7 @@ func queueShard() {
 	fmt.Printf("  ungrouped: %5.2f cross-shard ops/cycle, %4.2f shards/job\n",
 		rep.Placement.UngroupedCrossOps, rep.Placement.UngroupedShardsPerJob)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_shard.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_shard.json")
+	writeBaseline("BENCH_shard.json", rep)
 }
 
 // skewBenchReport is the BENCH_skew.json schema: what the load-aware
@@ -840,37 +780,26 @@ func queueSkew() {
 		probeVisibility = 30 * time.Millisecond
 	)
 
-	hotQueue := func(q int) string { return fmt.Sprintf("hot/q%d", q) }
+	hot := queueNames("hot/q%d", rep.HotQueues)
+	cold := queueNames("cold-%d/q", rep.ColdJobs)
+	task := []byte("task")
 
-	runSkew := func(pinned bool) (rps float64, subgroups, hotShards, probeReceives int, err error) {
-		router := shard.NewRouter(shard.Config{})
+	type skewRun struct {
+		rps                                 float64
+		subgroups, hotShards, probeReceives int
+	}
+	runSkew := func(pinned bool) (run skewRun, err error) {
+		router, err := newFleet(rep.Shards, throttledShards(rep.ModeledServiceTimeMs, rep.ServiceConcurrency))
+		if err != nil {
+			return run, err
+		}
 		defer router.Close()
-		for i := 0; i < rep.Shards; i++ {
-			svc := queue.NewService(queue.Config{
-				Seed:               int64(i + 1),
-				ServiceTime:        time.Duration(rep.ModeledServiceTimeMs * float64(time.Millisecond)),
-				ServiceConcurrency: rep.ServiceConcurrency,
-			})
-			if err := router.AddShard(fmt.Sprintf("s%d", i), svc); err != nil {
-				return 0, 0, 0, 0, err
-			}
-		}
-		for q := 0; q < rep.HotQueues; q++ {
-			if err := router.CreateQueue(hotQueue(q)); err != nil {
-				return 0, 0, 0, 0, err
-			}
-		}
-		if err := router.CreateQueue("hot/probe"); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		for j := 0; j < rep.ColdJobs; j++ {
-			if err := router.CreateQueue(fmt.Sprintf("cold-%d/q", j)); err != nil {
-				return 0, 0, 0, 0, err
-			}
+		if err := createQueues(router, hot, []string{"hot/probe"}, cold); err != nil {
+			return run, err
 		}
 		if pinned {
 			if err := router.PinGroup("hot", true); err != nil {
-				return 0, 0, 0, 0, err
+				return run, err
 			}
 		}
 
@@ -879,30 +808,19 @@ func queueSkew() {
 		// carrying a non-zero delivery count.
 		for i := 0; i < probes; i++ {
 			if _, err := router.SendMessage("hot/probe", []byte(fmt.Sprintf("p%d", i))); err != nil {
-				return 0, 0, 0, 0, err
+				return run, err
 			}
 		}
 		for got := 0; got < probes; {
 			_, ok, err := router.ReceiveMessage("hot/probe", probeVisibility)
 			if err != nil {
-				return 0, 0, 0, 0, err
+				return run, err
 			}
 			if ok {
 				got++
 			}
 		}
 		time.Sleep(2 * probeVisibility) // leases lapse; probes visible again
-
-		worker := func(wg *sync.WaitGroup, qn string, cycles int) {
-			defer wg.Done()
-			for i := 0; i < cycles; i++ {
-				router.SendMessage(qn, []byte("task"))
-				m, ok, _ := router.ReceiveMessageWait(qn, time.Hour, 50*time.Millisecond)
-				if ok {
-					router.DeleteMessage(qn, m.ReceiptHandle)
-				}
-			}
-		}
 
 		// Warmup: drive skewed load and tick the autoscaler until its
 		// policy has fanned the hot group out (or, pinned, until it has
@@ -919,20 +837,17 @@ func queueSkew() {
 		}})
 		defer auto.Close()
 		for round := 0; round < 8; round++ {
-			var wg sync.WaitGroup
-			for q := 0; q < rep.HotQueues; q++ {
-				wg.Add(1)
-				go worker(&wg, hotQueue(q), 10)
+			if _, err := runLoad(router, nil, stream{queues: hot, workers: 1, cycles: 10, body: task, wait: 50 * time.Millisecond}); err != nil {
+				return run, err
 			}
-			wg.Wait()
 			auto.Tick(time.Now())
 			if router.Splits()["hot"] >= 8 {
 				break
 			}
 		}
-		subgroups = router.Splits()["hot"]
-		if subgroups == 0 {
-			subgroups = 1
+		run.subgroups = router.Splits()["hot"]
+		if run.subgroups == 0 {
+			run.subgroups = 1
 		}
 		seen := map[string]bool{}
 		for qn, owner := range router.Owners() {
@@ -940,31 +855,24 @@ func queueSkew() {
 				seen[owner] = true
 			}
 		}
-		hotShards = len(seen)
+		run.hotShards = len(seen)
 		if pinned && len(router.Splits()) != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("policy split pinned group: %v", router.Splits())
+			return run, fmt.Errorf("policy split pinned group: %v", router.Splits())
 		}
-		if !pinned && subgroups < 2 {
-			return 0, 0, 0, 0, fmt.Errorf("policy never split the hot group (splits %v)", router.Splits())
+		if !pinned && run.subgroups < 2 {
+			return run, fmt.Errorf("policy never split the hot group (splits %v)", router.Splits())
 		}
 
 		// Measured phase: pure load, no policy ticks, so both variants
 		// run the identical request stream against a stable topology.
 		baseReq := router.APIRequests()
-		start := time.Now()
-		var wg sync.WaitGroup
-		for q := 0; q < rep.HotQueues; q++ {
-			for w := 0; w < rep.WorkersPerHotQueue; w++ {
-				wg.Add(1)
-				go worker(&wg, hotQueue(q), cyclesPerWorker)
-			}
+		elapsed, err := runLoad(router, nil,
+			stream{queues: hot, workers: rep.WorkersPerHotQueue, cycles: cyclesPerWorker, body: task, wait: 50 * time.Millisecond},
+			stream{queues: cold, workers: 1, cycles: coldCycles, body: task, wait: 50 * time.Millisecond})
+		if err != nil {
+			return run, err
 		}
-		for j := 0; j < rep.ColdJobs; j++ {
-			wg.Add(1)
-			go worker(&wg, fmt.Sprintf("cold-%d/q", j), coldCycles)
-		}
-		wg.Wait()
-		rps = float64(router.APIRequests()-baseReq) / time.Since(start).Seconds()
+		run.rps = float64(router.APIRequests()-baseReq) / elapsed.Seconds()
 
 		// Cooldown: quiet ticks must merge the split group back under
 		// hysteresis (probes alone are far below the merge watermark).
@@ -973,7 +881,7 @@ func queueSkew() {
 			auto.Tick(time.Now())
 		}
 		if len(router.Splits()) != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("split groups never merged back: %v", router.Splits())
+			return run, fmt.Errorf("split groups never merged back: %v", router.Splits())
 		}
 
 		// The probes migrated out with the split and home with the
@@ -981,76 +889,56 @@ func queueSkew() {
 		for got := 0; got < probes; {
 			m, ok, err := router.ReceiveMessage("hot/probe", time.Hour)
 			if err != nil {
-				return 0, 0, 0, 0, err
+				return run, err
 			}
 			if !ok {
-				return 0, 0, 0, 0, fmt.Errorf("probe message lost across split/merge (got %d of %d)", got, probes)
+				return run, fmt.Errorf("probe message lost across split/merge (got %d of %d)", got, probes)
 			}
-			if probeReceives == 0 || m.Receives < probeReceives {
-				probeReceives = m.Receives
+			if run.probeReceives == 0 || m.Receives < run.probeReceives {
+				run.probeReceives = m.Receives
 			}
 			if m.Receives != 2 {
-				return 0, 0, 0, 0, fmt.Errorf("probe delivery count %d after split+merge, want 2 (count reset in transit?)", m.Receives)
+				return run, fmt.Errorf("probe delivery count %d after split+merge, want 2 (count reset in transit?)", m.Receives)
 			}
 			got++
 		}
-		return rps, subgroups, hotShards, probeReceives, nil
+		return run, nil
 	}
 
-	// Best of 2 per variant, like the shard curve: one descheduled run
-	// must not poison a committed gate.
-	best := func(pinned bool) (rps float64, subgroups, hotShards, probeReceives int, err error) {
-		for run := 0; run < 2; run++ {
-			r, s, h, p, e := runSkew(pinned)
-			if e != nil {
-				return 0, 0, 0, 0, e
-			}
-			if r > rps {
-				rps, subgroups, hotShards, probeReceives = r, s, h, p
-			}
-		}
-		return rps, subgroups, hotShards, probeReceives, nil
+	best := func(pinned bool) (skewRun, error) {
+		return bestOf(2, func(a, b skewRun) bool { return a.rps > b.rps },
+			func() (skewRun, error) { return runSkew(pinned) })
 	}
-
-	pinnedRPS, _, _, _, err := best(true)
+	pinnedRun, err := best(true)
 	if err != nil {
 		fail(err)
 		return
 	}
-	splitRPS, subgroups, hotShards, probeReceives, err := best(false)
+	splitRun, err := best(false)
 	if err != nil {
 		fail(err)
 		return
 	}
-	rep.PinnedRequestsPerSec = pinnedRPS
-	rep.SplitRequestsPerSec = splitRPS
-	rep.SkewSpeedup = splitRPS / pinnedRPS
-	rep.HotSubgroups = float64(subgroups)
-	rep.HotShards = float64(hotShards)
+	rep.PinnedRequestsPerSec = pinnedRun.rps
+	rep.SplitRequestsPerSec = splitRun.rps
+	rep.SkewSpeedup = splitRun.rps / pinnedRun.rps
+	rep.HotSubgroups = float64(splitRun.subgroups)
+	rep.HotShards = float64(splitRun.hotShards)
 	rep.SplitFired = 1
 	rep.PinnedSplits = 0
-	rep.ProbeDeliveries = float64(probeReceives)
+	rep.ProbeDeliveries = float64(splitRun.probeReceives)
 
 	fmt.Printf("workload: 1 hot job (%d queues × %d workers) + %d cold jobs, %d shards of %d×%.0fms slots\n",
 		rep.HotQueues, rep.WorkersPerHotQueue, rep.ColdJobs, rep.Shards, rep.ServiceConcurrency, rep.ModeledServiceTimeMs)
 	fmt.Printf("pinned (1 shard for the hot group): %10.0f req/s\n", rep.PinnedRequestsPerSec)
-	fmt.Printf("split  (%d sub-arcs over %d shards): %10.0f req/s\n", subgroups, hotShards, rep.SplitRequestsPerSec)
-	fmt.Printf("speedup: %.2fx   probe delivery count after split+merge: %d\n", rep.SkewSpeedup, probeReceives)
+	fmt.Printf("split  (%d sub-arcs over %d shards): %10.0f req/s\n", splitRun.subgroups, splitRun.hotShards, rep.SplitRequestsPerSec)
+	fmt.Printf("speedup: %.2fx   probe delivery count after split+merge: %d\n", rep.SkewSpeedup, splitRun.probeReceives)
 	if rep.SkewSpeedup < 2.5 {
 		fail(fmt.Errorf("skew speedup %.2fx below the 2.5x acceptance floor", rep.SkewSpeedup))
 		return
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_skew.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_skew.json")
+	writeBaseline("BENCH_skew.json", rep)
 }
 
 // wirePoint is one shard count measured over both transports.
@@ -1093,75 +981,7 @@ func queueWire() {
 	const cyclesPerWorker = 25
 	const token = "bench-transfer"
 
-	// runCurve measures one (shard count, transport) cell: aggregate
-	// billed requests/s through the router and every receive's latency.
-	runCurve := func(nShards int, useWire bool) (rps float64, recvNs []float64, err error) {
-		router := shard.NewRouter(shard.Config{})
-		defer router.Close()
-		var cleanups []func()
-		defer func() {
-			for i := len(cleanups) - 1; i >= 0; i-- {
-				cleanups[i]()
-			}
-		}()
-		for i := 0; i < nShards; i++ {
-			svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
-			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminToken: token})
-			cleanups = append(cleanups, hs.Close)
-			httpc := &queue.HTTPClient{BaseURL: hs.URL, AdminToken: token}
-			backend := queue.API(httpc)
-			if useWire {
-				ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-				if lerr != nil {
-					return 0, nil, lerr
-				}
-				ws := &wire.Server{Service: svc, AdminToken: token}
-				go ws.Serve(ln)
-				cleanups = append(cleanups, func() { ws.Close() })
-				wc := wire.Dial(ln.Addr().String(), wire.Options{AdminToken: token, Fallback: httpc})
-				cleanups = append(cleanups, func() { wc.Close() })
-				backend = wc
-			}
-			if err := router.AddShard(fmt.Sprintf("s%d", i), backend); err != nil {
-				return 0, nil, err
-			}
-		}
-		for q := 0; q < rep.Queues; q++ {
-			if err := router.CreateQueue(fmt.Sprintf("q%d", q)); err != nil {
-				return 0, nil, err
-			}
-		}
-		baseReq := router.APIRequests()
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		start := time.Now()
-		for q := 0; q < rep.Queues; q++ {
-			qn := fmt.Sprintf("q%d", q)
-			for w := 0; w < rep.WorkersPerQueue; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					lat := make([]float64, 0, cyclesPerWorker)
-					for i := 0; i < cyclesPerWorker; i++ {
-						router.SendMessage(qn, []byte("task-payload-for-the-transport-benchmark"))
-						t0 := time.Now()
-						m, ok, _ := router.ReceiveMessageWait(qn, time.Hour, 50*time.Millisecond)
-						lat = append(lat, float64(time.Since(t0).Nanoseconds()))
-						if ok {
-							router.DeleteMessage(qn, m.ReceiptHandle)
-						}
-					}
-					mu.Lock()
-					recvNs = append(recvNs, lat...)
-					mu.Unlock()
-				}()
-			}
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		return float64(router.APIRequests()-baseReq) / elapsed, recvNs, nil
-	}
-
+	qs := queueNames("q%d", rep.Queues)
 	percentile := func(sorted []float64, p float64) float64 {
 		if len(sorted) == 0 {
 			return 0
@@ -1169,40 +989,86 @@ func queueWire() {
 		return sorted[int(p*float64(len(sorted)-1))]
 	}
 
-	// Best of 2 per cell, as in queueShard: one descheduled run must
-	// not poison a committed baseline or a CI comparison.
-	for _, n := range []int{1, 2, 4, 8} {
-		p := wirePoint{Shards: n}
-		for run := 0; run < 2; run++ {
-			rps, lat, err := runCurve(n, false)
+	// runCurve measures one (shard count, transport) cell: aggregate
+	// billed requests/s through the router and the receive latency
+	// percentiles.
+	type cell struct{ rps, recvP50, recvP99 float64 }
+	runCurve := func(nShards int, useWire bool) (cell, error) {
+		var cleanups []func()
+		defer func() {
+			for i := len(cleanups) - 1; i >= 0; i-- {
+				cleanups[i]()
+			}
+		}()
+		router, err := newFleet(nShards, func(i int) (queue.API, error) {
+			svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
+			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminToken: token})
+			cleanups = append(cleanups, hs.Close)
+			httpc := &queue.HTTPClient{BaseURL: hs.URL, AdminToken: token}
+			if !useWire {
+				return httpc, nil
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				fail(err)
-				return
+				return nil, err
 			}
-			if rps > p.HTTPRequestsPerSec {
-				p.HTTPRequestsPerSec = rps
-				if n == 8 {
-					sort.Float64s(lat)
-					rep.HTTPReceiveP50Ns = percentile(lat, 0.50)
-					rep.HTTPReceiveP99Ns = percentile(lat, 0.99)
-				}
-			}
-			rps, lat, err = runCurve(n, true)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if rps > p.WireRequestsPerSec {
-				p.WireRequestsPerSec = rps
-				if n == 8 {
-					sort.Float64s(lat)
-					rep.WireReceiveP50Ns = percentile(lat, 0.50)
-					rep.WireReceiveP99Ns = percentile(lat, 0.99)
-				}
-			}
+			ws := &wire.Server{Service: svc, AdminToken: token}
+			go ws.Serve(ln)
+			cleanups = append(cleanups, func() { ws.Close() })
+			wc := wire.Dial(ln.Addr().String(), wire.Options{AdminToken: token, Fallback: httpc})
+			cleanups = append(cleanups, func() { wc.Close() })
+			return wc, nil
+		})
+		if err != nil {
+			return cell{}, err
 		}
-		p.Speedup = p.WireRequestsPerSec / p.HTTPRequestsPerSec
-		rep.Curve = append(rep.Curve, p)
+		defer router.Close()
+		if err := createQueues(router, qs); err != nil {
+			return cell{}, err
+		}
+		baseReq := router.APIRequests()
+		var recvNs []float64
+		elapsed, err := runLoad(router, &recvNs, stream{
+			queues: qs, workers: rep.WorkersPerQueue, cycles: cyclesPerWorker,
+			body: []byte("task-payload-for-the-transport-benchmark"), wait: 50 * time.Millisecond,
+		})
+		if err != nil {
+			return cell{}, err
+		}
+		sort.Float64s(recvNs)
+		return cell{
+			rps:     float64(router.APIRequests()-baseReq) / elapsed.Seconds(),
+			recvP50: percentile(recvNs, 0.50),
+			recvP99: percentile(recvNs, 0.99),
+		}, nil
+	}
+
+	// The receive percentiles reported are the 8-shard point's.
+	for _, n := range []int{1, 2, 4, 8} {
+		best := func(useWire bool) (cell, error) {
+			return bestOf(2, func(a, b cell) bool { return a.rps > b.rps },
+				func() (cell, error) { return runCurve(n, useWire) })
+		}
+		h, err := best(false)
+		if err != nil {
+			fail(err)
+			return
+		}
+		w, err := best(true)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if n == 8 {
+			rep.HTTPReceiveP50Ns, rep.HTTPReceiveP99Ns = h.recvP50, h.recvP99
+			rep.WireReceiveP50Ns, rep.WireReceiveP99Ns = w.recvP50, w.recvP99
+		}
+		rep.Curve = append(rep.Curve, wirePoint{
+			Shards:             n,
+			HTTPRequestsPerSec: h.rps,
+			WireRequestsPerSec: w.rps,
+			Speedup:            w.rps / h.rps,
+		})
 	}
 
 	fmt.Printf("workload: %d queues × %d workers, remote shards over loopback\n",
@@ -1214,16 +1080,7 @@ func queueWire() {
 	fmt.Printf("receive p50/p99 at 8 shards: http %.0f/%.0f ns   wire %.0f/%.0f ns\n",
 		rep.HTTPReceiveP50Ns, rep.HTTPReceiveP99Ns, rep.WireReceiveP50Ns, rep.WireReceiveP99Ns)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_wire.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_wire.json")
+	writeBaseline("BENCH_wire.json", rep)
 }
 
 // brokerRecoverReport is the BENCH_broker.json schema: the durability
@@ -1310,7 +1167,11 @@ func brokerRecover() {
 		fail(err)
 		return
 	}
-	run := func(journalBucket string) (time.Duration, int64, error) {
+	type appendRun struct {
+		elapsed time.Duration
+		puts    int64
+	}
+	run := func(journalBucket string) (appendRun, error) {
 		env := classiccloud.Env{
 			Blob:  blob.NewStore(blob.Config{}),
 			Queue: queue.NewService(queue.Config{Seed: 6}),
@@ -1328,42 +1189,32 @@ func brokerRecover() {
 		start := time.Now()
 		j, err := bk.Submit(broker.JobRequest{App: "cap3", Files: files})
 		if err != nil {
-			return 0, 0, err
+			return appendRun{}, err
 		}
 		if err := j.Wait(60 * time.Second); err != nil {
-			return 0, 0, err
+			return appendRun{}, err
 		}
-		return time.Since(start), env.Blob.Usage().PutRequests - base, nil
+		return appendRun{time.Since(start), env.Blob.Usage().PutRequests - base}, nil
 	}
 	// Best-of-3 per config: scheduler noise on an oversubscribed CI
 	// machine dwarfs the per-task append cost, and minima compare the
 	// clean runs.
-	best := func(journalBucket string) (time.Duration, int64, error) {
-		var bestTime time.Duration
-		var puts int64
-		for i := 0; i < 3; i++ {
-			d, p, err := run(journalBucket)
-			if err != nil {
-				return 0, 0, err
-			}
-			if bestTime == 0 || d < bestTime {
-				bestTime, puts = d, p
-			}
-		}
-		return bestTime, puts, nil
+	best := func(journalBucket string) (appendRun, error) {
+		return bestOf(3, func(a, b appendRun) bool { return a.elapsed < b.elapsed },
+			func() (appendRun, error) { return run(journalBucket) })
 	}
-	journaledTime, journaledPuts, err := best("broker-journal")
+	journaled, err := best("broker-journal")
 	if err != nil {
 		fail(err)
 		return
 	}
-	plainTime, plainPuts, err := best(broker.DisableJournal)
+	plain, err := best(broker.DisableJournal)
 	if err != nil {
 		fail(err)
 		return
 	}
-	rep.JournalAppendsPerTask = float64(journaledPuts-plainPuts) / tasks
-	rep.AppendOverheadNsPerTask = float64(journaledTime-plainTime) / tasks
+	rep.JournalAppendsPerTask = float64(journaled.puts-plain.puts) / tasks
+	rep.AppendOverheadNsPerTask = float64(journaled.elapsed-plain.elapsed) / tasks
 
 	for _, p := range rep.Replay {
 		fmt.Printf("replay %5d-event journals: %8.0f jobs/s  %10.0f events/s\n",
@@ -1372,16 +1223,7 @@ func brokerRecover() {
 	fmt.Printf("journal appends per task:        %8.2f\n", rep.JournalAppendsPerTask)
 	fmt.Printf("append overhead per task:        %8.0f ns\n", rep.AppendOverheadNsPerTask)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_broker.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_broker.json")
+	writeBaseline("BENCH_broker.json", rep)
 }
 
 // durableRecoveryPoint is one journal length on the recovery curve.
@@ -1436,6 +1278,7 @@ func queueDurable() {
 
 	// Hot path: the contention shape of queueBench, once ephemeral and
 	// once with every mutation journaled. Best of 2 per variant.
+	qs := queueNames("q%d", rep.Queues)
 	contention := func(dur *queue.Durability) (float64, error) {
 		svc := queue.NewService(queue.Config{Seed: 1, Durability: dur})
 		if dur != nil {
@@ -1443,54 +1286,23 @@ func queueDurable() {
 				return 0, err
 			}
 		}
-		for qi := 0; qi < rep.Queues; qi++ {
-			if err := svc.CreateQueue(fmt.Sprintf("q%d", qi)); err != nil {
-				return 0, err
-			}
+		if err := createQueues(svc, qs); err != nil {
+			return 0, err
 		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for qi := 0; qi < rep.Queues; qi++ {
-			qn := fmt.Sprintf("q%d", qi)
-			for w := 0; w < rep.Workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < cycles; i++ {
-						svc.SendMessage(qn, []byte("task"))
-						m, ok, _ := svc.ReceiveMessage(qn, time.Hour)
-						if ok {
-							svc.DeleteMessage(qn, m.ReceiptHandle)
-						}
-					}
-				}()
-			}
-		}
-		wg.Wait()
-		return float64(rep.Queues*rep.Workers*cycles) / time.Since(start).Seconds(), nil
-	}
-	best := func(dur func() *queue.Durability) (float64, error) {
-		var top float64
-		for run := 0; run < 2; run++ {
-			v, err := contention(dur())
-			if err != nil {
-				return 0, err
-			}
-			if v > top {
-				top = v
-			}
-		}
-		return top, nil
+		elapsed, err := runLoad(svc, nil, stream{queues: qs, workers: rep.Workers, cycles: cycles, body: []byte("task")})
+		return float64(rep.Queues*rep.Workers*cycles) / elapsed.Seconds(), err
 	}
 	var err error
-	if rep.EphemeralCyclesPerSec, err = best(func() *queue.Durability { return nil }); err != nil {
+	if rep.EphemeralCyclesPerSec, err = bestOf(2, higher, func() (float64, error) {
+		return contention(nil)
+	}); err != nil {
 		fail(err)
 		return
 	}
-	if rep.DurableCyclesPerSec, err = best(func() *queue.Durability {
-		return &queue.Durability{
+	if rep.DurableCyclesPerSec, err = bestOf(2, higher, func() (float64, error) {
+		return contention(&queue.Durability{
 			Store: blob.NewStore(blob.Config{}), Bucket: "j", Key: "bench",
-		}
+		})
 	}); err != nil {
 		fail(err)
 		return
@@ -1662,16 +1474,7 @@ func queueDurable() {
 		rep.DepthMatch, rep.ReceivesPreserved, rep.SnapshotBoundsTail)
 	fmt.Printf("follower promotion (50-record tail): %10.0f ns\n", rep.PromoteNs)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_durable.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_durable.json")
+	writeBaseline("BENCH_durable.json", rep)
 }
 
 // replanWhatIf is the deterministic paper-scale arm of BENCH_replan:
@@ -1762,14 +1565,14 @@ func replanBench() {
 		return (best(slow) + best(fast)) / 2
 	}()
 
-	liveRun := func() (detectNs float64, fired, zeroLoss bool, err error) {
+	liveRun := func() (detectNs float64, err error) {
 		env := classiccloud.Env{
 			Blob:  blob.NewStore(blob.Config{}),
 			Queue: queue.NewService(queue.Config{Seed: 21}),
 		}
 		cal, err := catalog.Open(catalog.Config{Store: env.Blob, Prices: benchCatalog})
 		if err != nil {
-			return 0, false, false, err
+			return 0, err
 		}
 		bk := broker.New(broker.Config{
 			Env: env,
@@ -1804,15 +1607,16 @@ func replanBench() {
 		submitted := time.Now()
 		j, err := bk.Submit(broker.JobRequest{App: "synth", Files: files, TargetMakespan: target})
 		if err != nil {
-			return 0, false, false, err
+			return 0, err
 		}
 		if err := j.Wait(60 * time.Second); err != nil {
-			return 0, false, false, err
+			return 0, err
 		}
 		events, err := j.Journal()
 		if err != nil {
-			return 0, false, false, err
+			return 0, err
 		}
+		fired := false
 		for _, ev := range events {
 			if ev.Type == broker.EvReplanned {
 				fired = true
@@ -1820,25 +1624,20 @@ func replanBench() {
 			}
 		}
 		st := j.Status()
-		zeroLoss = st.Done == nFiles && st.Dead == 0 && st.InstanceType == fast.Key()
-		return detectNs, fired, zeroLoss, nil
+		zeroLoss := st.Done == nFiles && st.Dead == 0 && st.InstanceType == fast.Key()
+		if !fired || !zeroLoss {
+			return 0, fmt.Errorf("live re-plan run: fired=%v zeroLoss=%v", fired, zeroLoss)
+		}
+		return detectNs, nil
 	}
 	// Best of 2: detection time is dominated by MinSamples real task
 	// times, but one descheduled run must not poison the gate.
-	for run := 0; run < 2; run++ {
-		detect, fired, zeroLoss, err := liveRun()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if !fired || !zeroLoss {
-			fail(fmt.Errorf("live re-plan run %d: fired=%v zeroLoss=%v", run, fired, zeroLoss))
-			return
-		}
-		if rep.TimeToDetectNs == 0 || detect < rep.TimeToDetectNs {
-			rep.TimeToDetectNs = detect
-		}
+	detect, err := bestOf(2, lower, liveRun)
+	if err != nil {
+		fail(err)
+		return
 	}
+	rep.TimeToDetectNs = detect
 	rep.ReplanFired, rep.ZeroLoss = 1, 1
 
 	// Catalog ingest rate: settlement-shaped 32-sample batches through
@@ -1849,23 +1648,24 @@ func replanBench() {
 		for i := range samples {
 			samples[i] = 100 * time.Millisecond
 		}
-		for run := 0; run < 2; run++ {
+		rate, err := bestOf(2, higher, func() (float64, error) {
 			cs, err := catalog.Open(catalog.Config{Store: blob.NewStore(blob.Config{}), Prices: benchCatalog})
 			if err != nil {
-				fail(err)
-				return
+				return 0, err
 			}
 			start := time.Now()
 			for i := 0; i < batches; i++ {
 				if err := cs.Record("cap3", "aws/Large", samples); err != nil {
-					fail(err)
-					return
+					return 0, err
 				}
 			}
-			if rate := float64(batches*perBatch) / time.Since(start).Seconds(); rate > rep.CatalogIngestPerSec {
-				rep.CatalogIngestPerSec = rate
-			}
+			return float64(batches*perBatch) / time.Since(start).Seconds(), nil
+		})
+		if err != nil {
+			fail(err)
+			return
 		}
+		rep.CatalogIngestPerSec = rate
 	}
 
 	// Paper-scale what-if: cap3's 4096 files against the real price
@@ -1926,16 +1726,7 @@ func replanBench() {
 		rep.WhatIf.ReplanType, rep.WhatIf.ReplanFleet, rep.WhatIf.ReplanHourUnits, rep.WhatIf.ReplanMeets)
 	fmt.Printf("  hour units saved by re-planning: %.0f\n", rep.WhatIf.HourUnitsSaved)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_replan.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_replan.json")
+	writeBaseline("BENCH_replan.json", rep)
 }
 
 // brokerLive runs a real (in-process) elastic job: 64 Cap3 files

@@ -198,147 +198,140 @@ func seedDeadMessages(b *testing.B, s benchStore, name string, n int) {
 	}
 }
 
-func benchStores() map[string]func() benchStore {
-	return map[string]func() benchStore{
-		"indexed":     func() benchStore { return NewService(Config{Seed: 1}) },
-		"globalmutex": func() benchStore { return newLegacyService() },
-	}
+func newIndexed() benchStore { return NewService(Config{Seed: 1}) }
+
+// The indexed service runs under -bench=Queue. The global-mutex
+// baseline has its own benchmarks, run with -bench=GlobalMutex, so the
+// default set does not spend minutes on the quadratic legacy scans.
+
+func BenchmarkQueueThroughput(b *testing.B)         { benchThroughput(b, newIndexed()) }
+func BenchmarkQueueContention(b *testing.B)         { benchContention(b, newIndexed()) }
+func BenchmarkQueueReceiveDeadBacklog(b *testing.B) { benchDeadBacklog(b, newIndexed()) }
+func BenchmarkQueueApproximateCount(b *testing.B)   { benchApproximateCount(b, newIndexed()) }
+
+func BenchmarkGlobalMutexThroughput(b *testing.B) { benchThroughput(b, newLegacyService()) }
+func BenchmarkGlobalMutexContention(b *testing.B) { benchContention(b, newLegacyService()) }
+func BenchmarkGlobalMutexReceiveDeadBacklog(b *testing.B) {
+	benchDeadBacklog(b, newLegacyService())
+}
+func BenchmarkGlobalMutexApproximateCount(b *testing.B) {
+	benchApproximateCount(b, newLegacyService())
 }
 
-// BenchmarkQueueThroughput measures a single queue's send → receive →
-// delete cycle from one goroutine: the floor the per-queue indexes set
-// before any parallelism.
-func BenchmarkQueueThroughput(b *testing.B) {
-	for name, mk := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
-			s.CreateQueue("q")
-			body := []byte("task payload")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.SendMessage("q", body); err != nil {
-					b.Fatal(err)
-				}
-				m, ok, err := s.ReceiveMessage("q", time.Hour)
-				if err != nil || !ok {
-					b.Fatal("receive failed")
-				}
-				if err := s.DeleteMessage("q", m.ReceiptHandle); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-		})
+// benchThroughput measures a single queue's send → receive → delete
+// cycle from one goroutine: the floor the per-queue indexes set before
+// any parallelism.
+func benchThroughput(b *testing.B, s benchStore) {
+	s.CreateQueue("q")
+	body := []byte("task payload")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SendMessage("q", body); err != nil {
+			b.Fatal(err)
+		}
+		m, ok, err := s.ReceiveMessage("q", time.Hour)
+		if err != nil || !ok {
+			b.Fatal("receive failed")
+		}
+		if err := s.DeleteMessage("q", m.ReceiptHandle); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkQueueContention is the multi-tenant shape the broker
-// produces: 8 queues (jobs) × 8 workers each, every worker running the
-// full send/receive/delete cycle against its own queue. Per-queue
+// benchContention is the multi-tenant shape the broker produces: 8
+// queues (jobs) × 8 workers each, every worker running the full
+// send/receive/delete cycle against its own queue. Per-queue
 // locking lets the tenants proceed independently; the global-mutex
 // baseline serializes all 64 workers.
-func BenchmarkQueueContention(b *testing.B) {
+func benchContention(b *testing.B, s benchStore) {
 	const queues = 8
 	const workersPerQueue = 8
-	for name, mk := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
-			for qi := 0; qi < queues; qi++ {
-				s.CreateQueue(fmt.Sprintf("q%d", qi))
-			}
-			body := []byte("task payload")
-			workers := queues * workersPerQueue
-			cycles := b.N/workers + 1
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for qi := 0; qi < queues; qi++ {
-				qn := fmt.Sprintf("q%d", qi)
-				for w := 0; w < workersPerQueue; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < cycles; i++ {
-							if _, err := s.SendMessage(qn, body); err != nil {
-								b.Error(err)
-								return
-							}
-							m, ok, err := s.ReceiveMessage(qn, time.Hour)
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							if ok {
-								if err := s.DeleteMessage(qn, m.ReceiptHandle); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-						}
-					}()
-				}
-			}
-			wg.Wait()
-			b.ReportMetric(float64(workers*cycles)/b.Elapsed().Seconds(), "cycles/s")
-		})
+	for qi := 0; qi < queues; qi++ {
+		s.CreateQueue(fmt.Sprintf("q%d", qi))
 	}
+	body := []byte("task payload")
+	workers := queues * workersPerQueue
+	cycles := b.N/workers + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for qi := 0; qi < queues; qi++ {
+		qn := fmt.Sprintf("q%d", qi)
+		for w := 0; w < workersPerQueue; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < cycles; i++ {
+					if _, err := s.SendMessage(qn, body); err != nil {
+						b.Error(err)
+						return
+					}
+					m, ok, err := s.ReceiveMessage(qn, time.Hour)
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					if ok {
+						if err := s.DeleteMessage(qn, m.ReceiptHandle); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	b.ReportMetric(float64(workers*cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkQueueReceiveDeadBacklog measures ReceiveMessage on a queue
-// whose history holds 100k deleted messages and 100 live ones. The
+// benchDeadBacklog measures ReceiveMessage on a queue whose history
+// holds 100k deleted messages and 100 live ones. The
 // indexed store compacts deletions out, so its cost tracks the live
 // count; the legacy scan walks the graveyard on every call.
-func BenchmarkQueueReceiveDeadBacklog(b *testing.B) {
+func benchDeadBacklog(b *testing.B, s benchStore) {
 	const dead = 100_000
 	const live = 100
-	for name, mk := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
-			s.CreateQueue("q")
-			seedDeadMessages(b, s, "q", dead)
-			for i := 0; i < live; i++ {
-				if _, err := s.SendMessage("q", []byte("live")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			// Steady state: receive a live message, then release it back
-			// to the visible pool so the live population stays at 100.
-			for i := 0; i < b.N; i++ {
-				m, ok, err := s.ReceiveMessage("q", time.Hour)
-				if err != nil || !ok {
-					b.Fatal("receive found nothing despite live messages")
-				}
-				if err := s.ChangeVisibility("q", m.ReceiptHandle, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s.CreateQueue("q")
+	seedDeadMessages(b, s, "q", dead)
+	for i := 0; i < live; i++ {
+		if _, err := s.SendMessage("q", []byte("live")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	// Steady state: receive a live message, then release it back
+	// to the visible pool so the live population stays at 100.
+	for i := 0; i < b.N; i++ {
+		m, ok, err := s.ReceiveMessage("q", time.Hour)
+		if err != nil || !ok {
+			b.Fatal("receive found nothing despite live messages")
+		}
+		if err := s.ChangeVisibility("q", m.ReceiptHandle, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkQueueApproximateCount measures the autoscaler's observation
-// call on the same dead-backlog shape: maintained counters versus a
+// benchApproximateCount measures the autoscaler's observation call on
+// the same dead-backlog shape: maintained counters versus a
 // full-history scan.
-func BenchmarkQueueApproximateCount(b *testing.B) {
+func benchApproximateCount(b *testing.B, s benchStore) {
 	const dead = 100_000
-	for name, mk := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
-			s.CreateQueue("q")
-			seedDeadMessages(b, s, "q", dead)
-			for i := 0; i < 100; i++ {
-				s.SendMessage("q", []byte("live"))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.ApproximateCount("q"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s.CreateQueue("q")
+	seedDeadMessages(b, s, "q", dead)
+	for i := 0; i < 100; i++ {
+		s.SendMessage("q", []byte("live"))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.ApproximateCount("q"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -479,7 +479,7 @@ var (
 // API is the queue-service surface shared by every implementation: the
 // in-process Service, the HTTPClient speaking to a remote service, and
 // shard.Router fanning one namespace across many services. Consumers
-// (classiccloud, broker, twister) program against this interface, so a
+// (classiccloud, broker) program against this interface, so a
 // deployment can swap a single service for a sharded front without
 // touching them.
 type API interface {
