@@ -831,7 +831,6 @@ func queueSkew() {
 			MaxShards:          rep.Shards,
 			TargetRatePerShard: 50_000,
 			SplitRate:          2000,
-			MaxSubgroups:       8,
 			SplitCooldown:      time.Millisecond,
 			Window:             2,
 		}})
@@ -1002,7 +1001,7 @@ func queueWire() {
 		}()
 		router, err := newFleet(nShards, func(i int) (queue.API, error) {
 			svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
-			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminToken: token})
+			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminTokens: []string{token}})
 			cleanups = append(cleanups, hs.Close)
 			httpc := &queue.HTTPClient{BaseURL: hs.URL, AdminToken: token}
 			if !useWire {
@@ -1012,7 +1011,7 @@ func queueWire() {
 			if err != nil {
 				return nil, err
 			}
-			ws := &wire.Server{Service: svc, AdminToken: token}
+			ws := &wire.Server{Service: svc, AdminTokens: []string{token}}
 			go ws.Serve(ln)
 			cleanups = append(cleanups, func() { ws.Close() })
 			wc := wire.Dial(ln.Addr().String(), wire.Options{AdminToken: token, Fallback: httpc})

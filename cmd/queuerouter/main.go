@@ -392,7 +392,6 @@ func main() {
 	shardsFlag := flag.String("shards", "",
 		"remote shards as id=url pairs, e.g. a=http://node1:8080,b=http://node2:8080")
 	local := flag.Int("local", 0, "run N in-process shards instead of remote ones")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (default 64)")
 	wireAddr := flag.String("wire-addr", "",
 		"serve the binary wire protocol on this additional listener, advertised at GET /wire (empty disables)")
 	transferToken := flag.String("transfer-token", "",
@@ -440,7 +439,7 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	router := shard.NewRouter(shard.Config{VirtualNodes: *vnodes, Metrics: reg})
+	router := shard.NewRouter(shard.Config{Metrics: reg})
 	defer router.Close()
 	for id, url := range remotes {
 		backend, desc := dialShard(url, presentToken, reg)

@@ -301,18 +301,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("got %d keys, want 400", len(keys))
 	}
 }
-
-func TestEqualHelper(t *testing.T) {
-	s := NewStore(Config{})
-	s.CreateBucket("b")
-	s.Put("b", "k", []byte("v"))
-	if !s.Equal("b", "k", []byte("v")) {
-		t.Error("Equal should be true")
-	}
-	if s.Equal("b", "k", []byte("other")) {
-		t.Error("Equal should be false")
-	}
-	if s.Equal("b", "missing", nil) {
-		t.Error("Equal on missing key should be false")
-	}
-}

@@ -34,10 +34,6 @@ import (
 type Config struct {
 	// Store is the blob store holding the catalog journal (required).
 	Store *blob.Store
-	// Bucket and Key name the journal object (defaults
-	// "calibration" / "observations").
-	Bucket string
-	Key    string
 	// SnapshotEvery bounds replay: after this many journaled batches the
 	// summaries are snapshotted and the journal truncated (default 256;
 	// negative disables compaction).
@@ -48,13 +44,13 @@ type Config struct {
 	Prices []cloud.InstanceType
 }
 
+// journalBucket and journalKey name the catalog's journal object.
+const (
+	journalBucket = "calibration"
+	journalKey    = "observations"
+)
+
 func (c Config) withDefaults() Config {
-	if c.Bucket == "" {
-		c.Bucket = "calibration"
-	}
-	if c.Key == "" {
-		c.Key = "observations"
-	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 256
 	}
@@ -107,12 +103,12 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("catalog: Config.Store is required")
 	}
-	if err := cfg.Store.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, blob.ErrBucketExists) {
+	if err := cfg.Store.CreateBucket(journalBucket); err != nil && !errors.Is(err, blob.ErrBucketExists) {
 		return nil, fmt.Errorf("catalog: creating bucket: %w", err)
 	}
 	s := &Service{
 		cfg:     cfg,
-		log:     journal.Log{Store: cfg.Store, Bucket: cfg.Bucket, Key: cfg.Key},
+		log:     journal.Log{Store: cfg.Store, Bucket: journalBucket, Key: journalKey},
 		entries: make(map[string]*entry),
 	}
 	v, err := s.log.Load()

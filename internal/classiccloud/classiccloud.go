@@ -62,32 +62,25 @@ type Preloader interface {
 
 // Config tunes a deployment.
 type Config struct {
-	JobName           string        // names queues and buckets
-	VisibilityTimeout time.Duration // task lease length (default 1m)
-	PollInterval      time.Duration // error-backoff spacing (default 2ms)
+	JobName string // names queues and buckets
+	// VisibilityTimeout is the task lease length (default 1m). A
+	// worker renews the leases of the batch it is processing every
+	// VisibilityTimeout/3, so tasks slower than the lease are not
+	// spuriously redelivered — the long-running-worker pattern the
+	// queue API exists to support.
+	VisibilityTimeout time.Duration
 	DownloadRetries   int           // GET retries for eventual consistency (default 8)
 	RetryBackoff      time.Duration // spacing between download retries (default 2ms)
 	// LongPollWait is how long an idle worker blocks inside the queue's
 	// long-poll receive before re-checking its stop signal. It replaces
-	// the old PollInterval sleep loop: idle workers park on the queue's
+	// the old poll-interval sleep loop: idle workers park on the queue's
 	// wait list and wake the moment a task arrives. Default 50ms;
 	// negative forces non-blocking receives.
 	LongPollWait time.Duration
-	// ReceiveBatch is how many tasks a worker pulls per receive call
-	// (1..queue.MaxBatch, default 4). Task acknowledgements and monitor
-	// reports are batched the same way, so the queue bill amortizes to
-	// roughly 3 requests per ReceiveBatch tasks instead of 3 per task.
-	ReceiveBatch int
 	// CrashBeforeDelete is a fault-injection hook: when it returns true
 	// the worker "dies" after executing but before deleting the task, so
 	// the visibility timeout must recover the work.
 	CrashBeforeDelete func(workerID int, task Task) bool
-	// HeartbeatInterval is how often a worker renews its task lease
-	// (ChangeVisibility) while processing, so tasks slower than the
-	// visibility timeout are not spuriously redelivered — the
-	// long-running-worker pattern the queue API exists to support.
-	// Defaults to VisibilityTimeout/3; negative disables renewal.
-	HeartbeatInterval time.Duration
 	// MaxReceives caps deliveries per task message. A message received
 	// more than MaxReceives times is treated as poison: it is removed
 	// from the task queue and, when DeadLetterQueue is set, parked there
@@ -105,15 +98,22 @@ type Config struct {
 	InstanceType string
 }
 
+const (
+	// receiveBatch is how many tasks a worker pulls per receive call.
+	// Task acknowledgements and monitor reports are batched the same
+	// way, so the queue bill amortizes to roughly 3 requests per
+	// receiveBatch tasks instead of 3 per task.
+	receiveBatch = 4
+	// errorBackoff spaces a worker's receives after a failed one.
+	errorBackoff = 2 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.JobName == "" {
 		c.JobName = "job"
 	}
-	if c.VisibilityTimeout == 0 {
+	if c.VisibilityTimeout <= 0 {
 		c.VisibilityTimeout = time.Minute
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 2 * time.Millisecond
 	}
 	if c.DownloadRetries == 0 {
 		c.DownloadRetries = 8
@@ -121,17 +121,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 2 * time.Millisecond
 	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = c.VisibilityTimeout / 3
-	}
 	if c.LongPollWait == 0 {
 		c.LongPollWait = 50 * time.Millisecond
-	}
-	if c.ReceiveBatch <= 0 {
-		c.ReceiveBatch = 4
-	}
-	if c.ReceiveBatch > queue.MaxBatch {
-		c.ReceiveBatch = queue.MaxBatch
 	}
 	return c
 }
@@ -180,16 +171,6 @@ func ParseMonitorReport(body []byte) (MonitorReport, error) {
 		ServiceTime:  time.Duration(mm.ServiceNS),
 		InstanceType: mm.InstanceType,
 	}, nil
-}
-
-// ParseMonitorMessage decodes one monitoring-queue report into its
-// terminal status (StatusDone or StatusDead) and task ID.
-func ParseMonitorMessage(body []byte) (status, taskID string, err error) {
-	r, err := ParseMonitorReport(body)
-	if err != nil {
-		return "", "", err
-	}
-	return r.Status, r.TaskID, nil
 }
 
 // InputBucket returns the job's input bucket name.
@@ -535,15 +516,15 @@ func (inst *Instance) workerLoop(workerID int) {
 		}
 		// Long poll: an idle worker parks on the queue's wait list and
 		// wakes when a task arrives or a lease expires, instead of
-		// burning a receive request every PollInterval.
+		// burning a receive request on a fixed poll.
 		msgs, err := inst.env.Queue.ReceiveMessageBatch(
 			inst.cfg.taskQueue(), inst.cfg.VisibilityTimeout,
-			inst.cfg.ReceiveBatch, inst.cfg.LongPollWait)
+			receiveBatch, inst.cfg.LongPollWait)
 		if err != nil {
 			select {
 			case <-inst.stop:
 				return
-			case <-time.After(inst.cfg.PollInterval):
+			case <-time.After(errorBackoff):
 			}
 			continue
 		}
@@ -561,15 +542,12 @@ func (inst *Instance) workerLoop(workerID int) {
 func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	// One lease renewer covers the whole batch: tasks queued behind a
 	// slow one must keep their leases alive too.
-	var renew *leaseRenewer
-	if inst.cfg.HeartbeatInterval > 0 {
-		receipts := make([]string, len(msgs))
-		for i, m := range msgs {
-			receipts[i] = m.ReceiptHandle
-		}
-		renew = inst.startLeaseRenewer(receipts)
-		defer renew.stop()
+	receipts := make([]string, len(msgs))
+	for i, m := range msgs {
+		receipts[i] = m.ReceiptHandle
 	}
+	renew := inst.startLeaseRenewer(receipts)
+	defer renew.stop()
 	var ackReceipts []string
 	var reports [][]byte
 	for _, m := range msgs {
@@ -714,9 +692,6 @@ func (r *leaseRenewer) stop() { close(r.done) }
 // expires on schedule and redelivery is not delayed by the rest of the
 // batch still processing.
 func (r *leaseRenewer) remove(receipt string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	delete(r.receipts, receipt)
 	r.mu.Unlock()
@@ -728,7 +703,7 @@ func (inst *Instance) startLeaseRenewer(receipts []string) *leaseRenewer {
 		r.receipts[receipt] = true
 	}
 	go func() {
-		ticker := time.NewTicker(inst.cfg.HeartbeatInterval)
+		ticker := time.NewTicker(inst.cfg.VisibilityTimeout / 3)
 		defer ticker.Stop()
 		for {
 			select {

@@ -171,6 +171,49 @@ func TestVisibilityTimeoutRecoversCrashedWorker(t *testing.T) {
 	}
 }
 
+// TestLeaseRenewalCoversSlowTask: a task running well past its lease
+// keeps it through the worker's renewals, so an idle second worker
+// never receives it and it is executed and reported exactly once.
+func TestLeaseRenewalCoversSlowTask(t *testing.T) {
+	env := testEnv()
+	var runs atomic.Int64
+	slow := FuncExecutor{
+		AppName: "slow",
+		Fn: func(_ Task, input []byte) ([]byte, error) {
+			runs.Add(1)
+			time.Sleep(time.Second)
+			return bytes.ToUpper(input), nil
+		},
+	}
+	cfg := Config{JobName: "renew", VisibilityTimeout: 300 * time.Millisecond}
+	client := NewClient(env, cfg)
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := client.SubmitFiles(makeFiles(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := StartInstance(env, cfg, slow, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := client.WaitForCompletion(tasks, 15*time.Second)
+	inst.Stop() // waits out any second execution a lapsed lease let in
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 1 || rep.Duplicates != 0 {
+		t.Errorf("report = %+v, want 1 completed and 0 duplicates", rep)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("task executed %d times, want 1", n)
+	}
+	if n := inst.Stats().StaleDeletes.Load(); n != 0 {
+		t.Errorf("StaleDeletes = %d, want 0", n)
+	}
+}
+
 func TestEventualConsistencyRetries(t *testing.T) {
 	// A consistency window shorter than the retry budget: downloads
 	// must succeed via retry.
@@ -680,7 +723,7 @@ func TestSubmitFilesEnqueuesInBatches(t *testing.T) {
 		t.Errorf("%d tasks never enqueued (or enqueued twice): %v", len(want), want)
 	}
 	for name, data := range files {
-		if !env.Blob.Equal(cfg.InputBucket(), name, data) {
+		if got, err := env.Blob.GetConsistent(cfg.InputBucket(), name); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("input %s not staged", name)
 		}
 	}

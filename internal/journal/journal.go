@@ -346,11 +346,6 @@ func (l Log) Delete() error {
 	return nil
 }
 
-// Exists reports whether the log object exists (consistent view).
-func (l Log) Exists() (bool, error) {
-	return l.Store.Exists(l.Bucket, l.Key)
-}
-
 // IsSnapshotKey reports whether a bucket key names some log's snapshot
 // object rather than a log.
 func IsSnapshotKey(key string) bool {

@@ -478,15 +478,12 @@ func TestFollowerStartPolls(t *testing.T) {
 	}
 }
 
-// Capabilities discovers the optional surfaces of an implementation in
-// one call: the in-process Service offers all of them.
+// TestCapabilitiesDiscovery: the in-process Service is a terminal hop,
+// so it must not claim the trace-scoping capability. The capabilities
+// it does have are compile-time assertions next to NewService.
 func TestCapabilitiesDiscovery(t *testing.T) {
-	s := NewService(Config{})
-	c := Capabilities(s)
-	if c.Transfer == nil || c.Depth == nil || c.Recover == nil || c.Ping == nil {
-		t.Errorf("Service capabilities = %+v, want Transfer/Depth/Recover/Ping", c)
-	}
-	if c.Trace != nil {
+	var api API = NewService(Config{})
+	if _, ok := api.(TraceScoper); ok {
 		t.Error("Service claims TraceScoper; it is a terminal hop")
 	}
 }

@@ -47,25 +47,25 @@ import (
 // ("job-1%2Ftasks").
 //
 // The transfer endpoint is the privileged admin surface: it is served
-// only when AdminToken is configured AND the request carries it as a
-// bearer token; every other caller gets 403 (ErrNotPrivileged on the
-// client side). Everything else is the public client path.
+// only when AdminTokens is configured AND the request carries one of
+// them as a bearer token; every other caller gets 403
+// (ErrNotPrivileged on the client side). Everything else is the public
+// client path.
 //
 // Service is any queue.API implementation — a local Service or a
 // shard router — so one handler serves both a single queue node and a
 // sharded front.
 type HTTPHandler struct {
 	Service API
-	// AdminToken provisions the privileged transfer endpoint: requests
-	// must present "Authorization: Bearer <AdminToken>". Empty leaves
-	// the endpoint disabled (always 403) — the privileged surface must
-	// be opted into, never open by default.
-	AdminToken string
-	// AdminTokens extends AdminToken with further accepted tokens, the
-	// rotation mechanism: provision old+new everywhere, switch clients
-	// to the new one, then drop the old — no fleet-wide restart window
-	// in which transfers 403. Order does not matter for acceptance;
-	// clients present exactly one token (by convention the newest).
+	// AdminTokens provisions the privileged transfer endpoint: requests
+	// must present "Authorization: Bearer <token>" for one of them.
+	// None (or only empty entries) leaves the endpoint disabled (always
+	// 403) — the privileged surface must be opted into, never open by
+	// default. Several tokens are the rotation mechanism: provision
+	// old+new everywhere, switch clients to the new one, then drop the
+	// old — no fleet-wide restart window in which transfers 403. Order
+	// does not matter for acceptance; clients present exactly one token
+	// (by convention the newest).
 	AdminTokens []string
 
 	// WireAddr, when set, is advertised at GET /wire: the address of
@@ -81,12 +81,11 @@ type HTTPHandler struct {
 	// and handed to the Service when it implements TraceScoper, so a
 	// sharded front forwards it to the owning shard.
 
-	// SlowRequest, when > 0, logs any request slower than it, keyed by
-	// trace ID — the "why was this call slow" breadcrumb that works
-	// across hops because every hop logs the same ID.
+	// SlowRequest, when > 0, logs any request slower than it to the
+	// process default logger, keyed by trace ID — the "why was this
+	// call slow" breadcrumb that works across hops because every hop
+	// logs the same ID.
 	SlowRequest time.Duration
-	// Logger receives slow-request lines; nil uses the process default.
-	Logger *log.Logger
 	// Metrics, when set, records whole-request HTTP latency
 	// (queue_http_ns) including JSON marshalling — the server-side view
 	// a remote client actually experiences.
@@ -133,11 +132,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.httpNS.Observe(elapsed)
 	}
 	if h.SlowRequest > 0 && elapsed >= h.SlowRequest {
-		logger := h.Logger
-		if logger == nil {
-			logger = log.Default()
-		}
-		logger.Printf("queue: slow request trace=%s %s %s %v", trace, r.Method, r.URL.Path, elapsed)
+		log.Printf("queue: slow request trace=%s %s %s %v", trace, r.Method, r.URL.Path, elapsed)
 	}
 }
 
@@ -288,7 +283,7 @@ func (h *HTTPHandler) serveTransfer(w http.ResponseWriter, r *http.Request, svc 
 		return
 	}
 	token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if !ok || !h.tokenAccepted(token) {
+	if !ok || !TokenAccepted(h.AdminTokens, token) {
 		// One answer for "endpoint not provisioned", "no token", and
 		// "wrong token": the caller learns only that it is not
 		// privileged, not which secret would have worked.
@@ -316,17 +311,15 @@ func (h *HTTPHandler) serveTransfer(w http.ResponseWriter, r *http.Request, svc 
 	writeJSON(w, map[string][]string{"ids": ids})
 }
 
-// tokenAccepted reports whether the presented bearer token matches any
-// provisioned admin token (AdminToken plus the AdminTokens rotation
-// list). Every candidate is compared in constant time with no early
-// exit, so timing reveals neither a match nor which entry matched. No
-// provisioned tokens means nothing is accepted.
-func (h *HTTPHandler) tokenAccepted(token string) bool {
+// TokenAccepted reports whether the presented admin token matches any
+// non-empty entry of provisioned. Every candidate is compared in
+// constant time with no early exit, so timing reveals neither a match
+// nor which entry matched. No provisioned tokens means nothing is
+// accepted. HTTPHandler and the wire server share it so both faces
+// gate transfers identically.
+func TokenAccepted(provisioned []string, token string) bool {
 	match := 0
-	if h.AdminToken != "" {
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(h.AdminToken))
-	}
-	for _, t := range h.AdminTokens {
+	for _, t := range provisioned {
 		if t == "" {
 			continue
 		}
@@ -526,10 +519,11 @@ type HTTPClient struct {
 	// re-send). When the server rotates tokens (HTTPHandler.AdminTokens)
 	// the client presents exactly one — by convention the newest.
 	AdminToken string
-	// TraceID, when set, is injected as the telemetry.TraceHeader on
-	// every request, tying this client's traffic to one trace across
-	// hops. Use WithTrace for a per-request/per-job scoped view.
-	TraceID string
+
+	// trace, set only through WithTrace, is injected as the
+	// telemetry.TraceHeader on every request, tying this client's
+	// traffic to one trace across hops.
+	trace string
 }
 
 var (
@@ -543,7 +537,7 @@ var (
 // it is cheap enough to create per request.
 func (c *HTTPClient) WithTrace(traceID string) API {
 	scoped := *c
-	scoped.TraceID = traceID
+	scoped.trace = traceID
 	return &scoped
 }
 
@@ -560,8 +554,8 @@ func (c *HTTPClient) httpClient() *http.Client {
 // do sends a request, stamping the trace header first. Every outgoing
 // request of the client funnels through here so no hop drops the ID.
 func (c *HTTPClient) do(req *http.Request) (*http.Response, error) {
-	if c.TraceID != "" {
-		req.Header.Set(telemetry.TraceHeader, c.TraceID)
+	if c.trace != "" {
+		req.Header.Set(telemetry.TraceHeader, c.trace)
 	}
 	return c.httpClient().Do(req)
 }
@@ -737,8 +731,8 @@ func (c *HTTPClient) APIRequestsFor(name string) int64 {
 	return c.requests("/q/" + url.PathEscape(name) + "/requests")
 }
 
-// Send enqueues a message and returns its id.
-func (c *HTTPClient) Send(name string, body []byte) (string, error) {
+// SendMessage enqueues a message and returns its id.
+func (c *HTTPClient) SendMessage(name string, body []byte) (string, error) {
 	resp, err := c.post(c.qURL(name)+"/messages", "application/octet-stream",
 		strings.NewReader(string(body)))
 	if err != nil {
@@ -755,13 +749,14 @@ func (c *HTTPClient) Send(name string, body []byte) (string, error) {
 	return out["id"], nil
 }
 
-// Receive pops a message; ok is false when the queue has nothing visible.
-func (c *HTTPClient) Receive(name string, visibility time.Duration) (Message, bool, error) {
-	return c.ReceiveWait(name, visibility, 0)
+// ReceiveMessage pops a message; ok is false when the queue has nothing
+// visible.
+func (c *HTTPClient) ReceiveMessage(name string, visibility time.Duration) (Message, bool, error) {
+	return c.ReceiveMessageWait(name, visibility, 0)
 }
 
-// ReceiveWait long-polls for up to wait before returning empty.
-func (c *HTTPClient) ReceiveWait(name string, visibility, wait time.Duration) (Message, bool, error) {
+// ReceiveMessageWait long-polls for up to wait before returning empty.
+func (c *HTTPClient) ReceiveMessageWait(name string, visibility, wait time.Duration) (Message, bool, error) {
 	q := url.Values{}
 	if visibility > 0 {
 		q.Set("visibility", visibility.String())
@@ -792,9 +787,10 @@ func (c *HTTPClient) ReceiveWait(name string, visibility, wait time.Duration) (M
 	}
 }
 
-// ReceiveBatch receives up to max messages in one request, long-polling
-// up to wait. An empty slice means nothing became visible in time.
-func (c *HTTPClient) ReceiveBatch(name string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
+// ReceiveMessageBatch receives up to max messages in one request,
+// long-polling up to wait. An empty slice means nothing became visible
+// in time.
+func (c *HTTPClient) ReceiveMessageBatch(name string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
 	q := url.Values{}
 	q.Set("max", strconv.Itoa(max))
 	if visibility > 0 {
@@ -828,8 +824,8 @@ func (c *HTTPClient) ReceiveBatch(name string, visibility time.Duration, max int
 	}
 }
 
-// SendBatch enqueues up to MaxBatch bodies as one billed request.
-func (c *HTTPClient) SendBatch(name string, bodies [][]byte) ([]string, error) {
+// SendMessageBatch enqueues up to MaxBatch bodies as one billed request.
+func (c *HTTPClient) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
 	payload, err := json.Marshal(map[string][][]byte{"bodies": bodies})
 	if err != nil {
 		return nil, err
@@ -906,9 +902,9 @@ func (c *HTTPClient) TransferInBatch(name string, items []TransferItem) ([]strin
 	return out.IDs, nil
 }
 
-// DeleteBatch acknowledges up to MaxBatch receipts as one billed
+// DeleteMessageBatch acknowledges up to MaxBatch receipts as one billed
 // request, returning one error per entry (nil = deleted).
-func (c *HTTPClient) DeleteBatch(name string, receipts []string) ([]error, error) {
+func (c *HTTPClient) DeleteMessageBatch(name string, receipts []string) ([]error, error) {
 	payload, err := json.Marshal(map[string][]string{"receipts": receipts})
 	if err != nil {
 		return nil, err
@@ -941,8 +937,8 @@ func (c *HTTPClient) DeleteBatch(name string, receipts []string) ([]error, error
 	return results, nil
 }
 
-// Delete acknowledges a message by receipt handle.
-func (c *HTTPClient) Delete(name, receipt string) error {
+// DeleteMessage acknowledges a message by receipt handle.
+func (c *HTTPClient) DeleteMessage(name, receipt string) error {
 	req, err := http.NewRequest(http.MethodDelete, c.qURL(name)+"/messages/"+url.PathEscape(receipt), nil)
 	if err != nil {
 		return err
@@ -956,38 +952,4 @@ func (c *HTTPClient) Delete(name, receipt string) error {
 		return statusErr("delete in", name, resp)
 	}
 	return nil
-}
-
-// The remaining methods alias the client's historical names onto the
-// queue.API method set, so *HTTPClient is a drop-in queue.API.
-
-// SendMessage is Send under its queue.API name.
-func (c *HTTPClient) SendMessage(name string, body []byte) (string, error) { return c.Send(name, body) }
-
-// SendMessageBatch is SendBatch under its queue.API name.
-func (c *HTTPClient) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
-	return c.SendBatch(name, bodies)
-}
-
-// ReceiveMessage is Receive under its queue.API name.
-func (c *HTTPClient) ReceiveMessage(name string, visibility time.Duration) (Message, bool, error) {
-	return c.Receive(name, visibility)
-}
-
-// ReceiveMessageWait is ReceiveWait under its queue.API name.
-func (c *HTTPClient) ReceiveMessageWait(name string, visibility, wait time.Duration) (Message, bool, error) {
-	return c.ReceiveWait(name, visibility, wait)
-}
-
-// ReceiveMessageBatch is ReceiveBatch under its queue.API name.
-func (c *HTTPClient) ReceiveMessageBatch(name string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
-	return c.ReceiveBatch(name, visibility, max, wait)
-}
-
-// DeleteMessage is Delete under its queue.API name.
-func (c *HTTPClient) DeleteMessage(name, receipt string) error { return c.Delete(name, receipt) }
-
-// DeleteMessageBatch is DeleteBatch under its queue.API name.
-func (c *HTTPClient) DeleteMessageBatch(name string, receipts []string) ([]error, error) {
-	return c.DeleteBatch(name, receipts)
 }

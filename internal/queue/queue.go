@@ -566,41 +566,6 @@ type Pinger interface {
 	Ping() error
 }
 
-// CapabilitySet names every optional surface an API implementation may
-// offer beyond the core interface. Fields are nil when the
-// implementation does not offer that capability.
-type CapabilitySet struct {
-	Transfer Transferrer
-	Depth    DepthReporter
-	Trace    TraceScoper
-	Recover  Recoverer
-	Ping     Pinger
-}
-
-// Capabilities discovers the optional surfaces of an API in one place,
-// replacing scattered type assertions at call sites. The result is a
-// snapshot: capability membership is a property of the implementation
-// type and does not change at runtime.
-func Capabilities(api API) CapabilitySet {
-	var c CapabilitySet
-	if t, ok := api.(Transferrer); ok {
-		c.Transfer = t
-	}
-	if d, ok := api.(DepthReporter); ok {
-		c.Depth = d
-	}
-	if t, ok := api.(TraceScoper); ok {
-		c.Trace = t
-	}
-	if r, ok := api.(Recoverer); ok {
-		c.Recover = r
-	}
-	if p, ok := api.(Pinger); ok {
-		c.Ping = p
-	}
-	return c
-}
-
 var (
 	_ API           = (*Service)(nil)
 	_ Transferrer   = (*Service)(nil)

@@ -48,7 +48,7 @@ func TestDecideSplitDoubling(t *testing.T) {
 }
 
 func TestDecideMergeHysteresis(t *testing.T) {
-	// SplitRate 100, SplitBacklog 4096, MergeFraction 0.25: merge only
+	// SplitRate 100, splitBacklog 4096, mergeFraction 0.25: merge only
 	// when rate < 25 AND backlog < 1024.
 	p := AutoscalePolicy{TargetRatePerShard: 1000, SplitRate: 100}
 	cases := []struct {

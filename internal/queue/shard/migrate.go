@@ -348,7 +348,7 @@ func (r *Router) migrate(m pendingMove) error {
 	// leases on the old shard; those messages are not visible and are
 	// handled by their receipts or the forwarder.
 	for {
-		msgs, err := fromB.ReceiveMessageBatch(m.name, r.cfg.DrainVisibility, queue.MaxBatch, 0)
+		msgs, err := fromB.ReceiveMessageBatch(m.name, drainVisibility, queue.MaxBatch, 0)
 		if errors.Is(err, queue.ErrNoSuchQueue) {
 			// Deleted under the freeze (DeleteQueue waits, but the queue
 			// may have been gone before the move started).
@@ -406,7 +406,7 @@ func (r *Router) migrate(m pendingMove) error {
 // forwarder gives up and leaves it, so outstanding receipts stay valid.
 //
 // Idle polls back off exponentially from ForwardInterval to a quarter
-// of DrainVisibility: every poll is a billed request (a real HTTP round
+// of drainVisibility: every poll is a billed request (a real HTTP round
 // trip on a remote shard), and consumers holding long heartbeat-renewed
 // leases would otherwise draw a constant poll stream for the whole
 // lease.
@@ -430,9 +430,9 @@ func (r *Router) forward(name string, rt *route, from string, fromB queue.API) {
 		delete(rt.draining, from)
 		rt.mu.Unlock()
 	}()
-	deadline := time.Now().Add(r.cfg.LeaseHorizon)
+	deadline := time.Now().Add(leaseHorizon)
 	interval := r.cfg.ForwardInterval
-	maxInterval := r.cfg.DrainVisibility / 4
+	maxInterval := drainVisibility / 4
 	if maxInterval < interval {
 		maxInterval = interval
 	}
@@ -519,7 +519,7 @@ func (r *Router) forward(name string, rt *route, from string, fromB queue.API) {
 // migrations land messages on the newest owner).
 func (r *Router) forwardVisible(name string, fromB queue.API) {
 	for {
-		msgs, err := fromB.ReceiveMessageBatch(name, r.cfg.DrainVisibility, queue.MaxBatch, 0)
+		msgs, err := fromB.ReceiveMessageBatch(name, drainVisibility, queue.MaxBatch, 0)
 		if err != nil || len(msgs) == 0 {
 			return
 		}

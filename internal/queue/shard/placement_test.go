@@ -370,7 +370,7 @@ func TestRegroupRebalanceChurn(t *testing.T) {
 func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 	const token = "migrate-sekrit"
 	remote := queue.NewService(queue.Config{Seed: 7})
-	srv := httptest.NewServer(&queue.HTTPHandler{Service: remote, AdminToken: token})
+	srv := httptest.NewServer(&queue.HTTPHandler{Service: remote, AdminTokens: []string{token}})
 	defer srv.Close()
 
 	r := NewRouter(Config{ForwardInterval: time.Millisecond})

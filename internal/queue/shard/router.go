@@ -116,21 +116,9 @@ func splitReceipt(wrapped string) (shardID, receipt string, ok bool) {
 
 // Config tunes the router.
 type Config struct {
-	// VirtualNodes per shard on the hash ring (default 64). More nodes
-	// spread queues more evenly at the cost of a larger ring.
-	VirtualNodes int
-	// DrainVisibility is the lease the migrator takes on messages it
-	// streams between shards (default 1m): long enough to move a batch,
-	// short enough that a crashed migration redelivers quickly.
-	DrainVisibility time.Duration
 	// ForwardInterval is how often a straggler forwarder polls the old
 	// shard after a migration (default 10ms).
 	ForwardInterval time.Duration
-	// LeaseHorizon bounds how long a forwarder keeps watching the old
-	// shard for expiring in-flight messages (default 1h). Past it the
-	// old queue is left in place so outstanding receipts stay valid,
-	// but nothing is forwarded any more.
-	LeaseHorizon time.Duration
 	// Metrics, when set, receives the router's instruments: per-op
 	// latency histograms (router_op_ns), per-shard request rates
 	// (shard_requests) and live backlog gauges (shard_backlog). Nil
@@ -138,18 +126,24 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
+const (
+	// virtualNodes per shard on the hash ring. More nodes spread queues
+	// more evenly at the cost of a larger ring.
+	virtualNodes = 64
+	// drainVisibility is the lease the migrator takes on messages it
+	// streams between shards: long enough to move a batch, short enough
+	// that a crashed migration redelivers quickly.
+	drainVisibility = time.Minute
+	// leaseHorizon bounds how long a forwarder keeps watching the old
+	// shard for expiring in-flight messages. Past it the old queue is
+	// left in place so outstanding receipts stay valid, but nothing is
+	// forwarded any more.
+	leaseHorizon = time.Hour
+)
+
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = 64
-	}
-	if c.DrainVisibility == 0 {
-		c.DrainVisibility = time.Minute
-	}
 	if c.ForwardInterval == 0 {
 		c.ForwardInterval = 10 * time.Millisecond
-	}
-	if c.LeaseHorizon == 0 {
-		c.LeaseHorizon = time.Hour
 	}
 	return c
 }
@@ -163,6 +157,10 @@ func (c Config) withDefaults() Config {
 // migration that preserves delivery counts through the privileged
 // transfer API.
 type Router struct {
+	// routerView, bound to this router with no trace, supplies the
+	// public data-plane methods.
+	routerView
+
 	cfg Config
 
 	// topoMu serializes topology changes (AddShard / RemoveShard) and
@@ -342,13 +340,14 @@ func NewRouter(cfg Config) *Router {
 	c := cfg.withDefaults()
 	r := &Router{
 		cfg:     c,
-		ring:    newRing(c.VirtualNodes),
+		ring:    newRing(virtualNodes),
 		shards:  make(map[string]queue.API),
 		routes:  make(map[string]*route),
 		splits:  make(map[string]int),
 		pinned:  make(map[string]bool),
 		closing: make(chan struct{}),
 	}
+	r.routerView.r = r
 	if c.Metrics != nil {
 		r.met = &routerMetrics{
 			reg:        c.Metrics,
@@ -877,84 +876,11 @@ func (r *Router) purge(trace, queueName string) error {
 
 // ---- public queue.API surface ----
 //
-// Every public method is a thin trace-less wrapper over its internal
-// traced twin; WithTrace returns a view binding a trace ID to the same
-// router state. Latency histograms and shard rates live on the internal
-// paths, so traced and untraced calls are measured identically.
-
-// CreateQueue places a new queue on its ring owner (see createQueue).
-func (r *Router) CreateQueue(name string) error { return r.createQueue("", name) }
-
-// DeleteQueue removes a queue from its owner and draining old shards.
-func (r *Router) DeleteQueue(name string) error { return r.deleteQueue("", name) }
-
-// SendMessage enqueues on the owning shard.
-func (r *Router) SendMessage(queueName string, body []byte) (string, error) {
-	return r.sendMessage("", queueName, body)
-}
-
-// SendMessageBatch enqueues a batch on the owning shard.
-func (r *Router) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
-	return r.sendMessageBatch("", queueName, bodies)
-}
-
-// ReceiveMessage pops one message from the owning shard.
-func (r *Router) ReceiveMessage(queueName string, visibility time.Duration) (queue.Message, bool, error) {
-	return r.receiveMessageWait("", queueName, visibility, 0)
-}
-
-// ReceiveMessageWait long-polls the owning shard.
-func (r *Router) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
-	return r.receiveMessageWait("", queueName, visibility, wait)
-}
-
-// ReceiveMessageBatch receives up to max messages from the owning shard.
-func (r *Router) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	return r.receiveMessageBatch("", queueName, visibility, max, wait)
-}
-
-// DeleteMessage acknowledges by receipt, routed to the issuing shard.
-func (r *Router) DeleteMessage(queueName, receiptHandle string) error {
-	return r.deleteMessage("", queueName, receiptHandle)
-}
-
-// DeleteMessageBatch acknowledges a batch, grouped by issuing shard.
-func (r *Router) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
-	return r.deleteMessageBatch("", queueName, receipts)
-}
-
-// ChangeVisibility adjusts a lease on the issuing shard.
-func (r *Router) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
-	return r.changeVisibility("", queueName, receiptHandle, d)
-}
-
-// ApproximateCount sums the owner's counts with any draining old shards.
-func (r *Router) ApproximateCount(queueName string) (visible, inflight int, err error) {
-	return r.approximateCount("", queueName)
-}
-
-// Purge clears the queue on its owner and on any draining old shards.
-func (r *Router) Purge(queueName string) error { return r.purge("", queueName) }
-
-// TransferIn routes a privileged count-preserving enqueue to the owning
-// shard (queue.Transferrer).
-func (r *Router) TransferIn(queueName string, body []byte, receives int) (string, error) {
-	return r.transferIn("", queueName, body, receives)
-}
-
-// TransferInBatch routes a privileged count-preserving batch enqueue to
-// the owning shard (queue.Transferrer).
-func (r *Router) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
-	return r.transferInBatch("", queueName, items)
-}
-
-// WithTrace returns a view of the router that carries traceID through to
-// every backend hop (queue.TraceScoper): a remote shard client injects
-// it as the X-Trace-Id header, so one logical request stays correlatable
-// from the caller through the router to the shard that served it.
-func (r *Router) WithTrace(traceID string) queue.API {
-	return &routerView{r: r, trace: traceID}
-}
+// The data-plane methods live on routerView, a trace-bound view that
+// forwards to the router's internal traced functions. Router embeds a
+// view with an empty trace, so untraced calls and WithTrace views run
+// the same code; latency histograms and shard rates live on the
+// internal paths, so both are measured identically.
 
 // routerView is a trace-bound view over a Router. It shares all router
 // state — it only pins the trace ID forwarded on backend hops.
@@ -969,46 +895,82 @@ var (
 	_ queue.TraceScoper = (*routerView)(nil)
 )
 
+// WithTrace returns a view of the router that carries traceID through to
+// every backend hop (queue.TraceScoper): a remote shard client injects
+// it as the X-Trace-Id header, so one logical request stays correlatable
+// from the caller through the router to the shard that served it.
 func (v *routerView) WithTrace(traceID string) queue.API {
 	return &routerView{r: v.r, trace: traceID}
 }
+
+// CreateQueue places a new queue on its ring owner (see createQueue).
 func (v *routerView) CreateQueue(name string) error { return v.r.createQueue(v.trace, name) }
+
+// DeleteQueue removes a queue from its owner and draining old shards.
 func (v *routerView) DeleteQueue(name string) error { return v.r.deleteQueue(v.trace, name) }
-func (v *routerView) ListQueues() []string          { return v.r.ListQueues() }
+
+func (v *routerView) ListQueues() []string { return v.r.ListQueues() }
+
+// SendMessage enqueues on the owning shard.
 func (v *routerView) SendMessage(queueName string, body []byte) (string, error) {
 	return v.r.sendMessage(v.trace, queueName, body)
 }
+
+// SendMessageBatch enqueues a batch on the owning shard.
 func (v *routerView) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
 	return v.r.sendMessageBatch(v.trace, queueName, bodies)
 }
+
+// ReceiveMessage pops one message from the owning shard.
 func (v *routerView) ReceiveMessage(queueName string, visibility time.Duration) (queue.Message, bool, error) {
 	return v.r.receiveMessageWait(v.trace, queueName, visibility, 0)
 }
+
+// ReceiveMessageWait long-polls the owning shard.
 func (v *routerView) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
 	return v.r.receiveMessageWait(v.trace, queueName, visibility, wait)
 }
+
+// ReceiveMessageBatch receives up to max messages from the owning shard.
 func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
 	return v.r.receiveMessageBatch(v.trace, queueName, visibility, max, wait)
 }
+
+// DeleteMessage acknowledges by receipt, routed to the issuing shard.
 func (v *routerView) DeleteMessage(queueName, receiptHandle string) error {
 	return v.r.deleteMessage(v.trace, queueName, receiptHandle)
 }
+
+// DeleteMessageBatch acknowledges a batch, grouped by issuing shard.
 func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
 	return v.r.deleteMessageBatch(v.trace, queueName, receipts)
 }
+
+// ChangeVisibility adjusts a lease on the issuing shard.
 func (v *routerView) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
 	return v.r.changeVisibility(v.trace, queueName, receiptHandle, d)
 }
+
+// ApproximateCount sums the owner's counts with any draining old shards.
 func (v *routerView) ApproximateCount(queueName string) (visible, inflight int, err error) {
 	return v.r.approximateCount(v.trace, queueName)
 }
+
+// Purge clears the queue on its owner and on any draining old shards.
 func (v *routerView) Purge(queueName string) error { return v.r.purge(v.trace, queueName) }
+
+// TransferIn routes a privileged count-preserving enqueue to the owning
+// shard (queue.Transferrer).
 func (v *routerView) TransferIn(queueName string, body []byte, receives int) (string, error) {
 	return v.r.transferIn(v.trace, queueName, body, receives)
 }
+
+// TransferInBatch routes a privileged count-preserving batch enqueue to
+// the owning shard (queue.Transferrer).
 func (v *routerView) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
 	return v.r.transferInBatch(v.trace, queueName, items)
 }
+
 func (v *routerView) APIRequests() int64                    { return v.r.APIRequests() }
 func (v *routerView) APIRequestsFor(queueName string) int64 { return v.r.APIRequestsFor(queueName) }
 
@@ -1242,18 +1204,6 @@ func (r *Router) SetShardWeight(id string, w float64) (bool, error) {
 		return false, ErrNoSuchShard
 	}
 	return r.ring.setWeight(id, w), nil
-}
-
-// ShardWeights snapshots the ring-arc weight of every shard on the
-// ring.
-func (r *Router) ShardWeights() map[string]float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.ring.weights))
-	for id, w := range r.ring.weights {
-		out[id] = w
-	}
-	return out
 }
 
 // Splits snapshots the sub-arc count of every currently-split group.

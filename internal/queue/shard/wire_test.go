@@ -24,7 +24,7 @@ func TestMigrationAcrossMixedTransports(t *testing.T) {
 
 	// Shard 1: a queue node reachable only over HTTP/JSON.
 	svcHTTP := queue.NewService(queue.Config{Seed: 1})
-	hsHTTP := httptest.NewServer(&queue.HTTPHandler{Service: svcHTTP, AdminToken: token})
+	hsHTTP := httptest.NewServer(&queue.HTTPHandler{Service: svcHTTP, AdminTokens: []string{token}})
 	defer hsHTTP.Close()
 	backendHTTP := &queue.HTTPClient{BaseURL: hsHTTP.URL, AdminToken: token}
 
@@ -35,10 +35,10 @@ func TestMigrationAcrossMixedTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := &wire.Server{Service: svcWire, AdminToken: token}
+	ws := &wire.Server{Service: svcWire, AdminTokens: []string{token}}
 	go ws.Serve(ln)
 	defer ws.Close()
-	hsWire := httptest.NewServer(&queue.HTTPHandler{Service: svcWire, AdminToken: token, WireAddr: ln.Addr().String()})
+	hsWire := httptest.NewServer(&queue.HTTPHandler{Service: svcWire, AdminTokens: []string{token}, WireAddr: ln.Addr().String()})
 	defer hsWire.Close()
 
 	// Upgrade to the wire face exactly the way cmd/queuerouter does:

@@ -29,25 +29,15 @@ type Options struct {
 	Conns int
 	// DialTimeout bounds one connect attempt (default 3s).
 	DialTimeout time.Duration
-	// RequestTimeout bounds one round trip, excluding any long-poll
-	// wait the request itself asks for — receives get RequestTimeout
-	// plus their wait (default 30s).
-	RequestTimeout time.Duration
 	// MaxBackoff caps the reconnect backoff after repeated dial
 	// failures (default 2s; the first retry waits 50ms). While a pool
 	// slot is backing off, calls through it fail fast with
 	// ErrUnavailable instead of queueing behind doomed dials.
 	MaxBackoff time.Duration
-	// MaxFrame caps one response frame (default DefaultMaxFrame).
-	MaxFrame int
 	// AdminToken authorizes the privileged transfer opcode, with the
 	// same client-side contract as queue.HTTPClient: empty fails
 	// transfers locally with ErrNotPrivileged.
 	AdminToken string
-	// TraceID, when set, rides in every request frame's trace field —
-	// the binary equivalent of the X-Trace-Id header. Use WithTrace
-	// for scoped views.
-	TraceID string
 	// Fallback, when set, serves any call that fails at the transport
 	// level (ErrUnavailable) — typically the queue.HTTPClient for the
 	// same node, making "prefer wire, fall back to JSON" a property of
@@ -58,6 +48,11 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
+// requestTimeout bounds one round trip, excluding any long-poll wait
+// the request itself asks for: receives get requestTimeout plus their
+// wait.
+const requestTimeout = 30 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.Conns <= 0 {
 		o.Conns = 4
@@ -65,14 +60,8 @@ func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 3 * time.Second
 	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	return o
 }
@@ -106,7 +95,7 @@ func Dial(addr string, opt Options) *Client {
 	if opt.Metrics != nil {
 		p.connGauge = opt.Metrics.Gauge(telemetry.Label("wire_client_conns", "peer", addr))
 	}
-	return &Client{p: p, trace: opt.TraceID}
+	return &Client{p: p}
 }
 
 // Addr returns the endpoint this client dials.
@@ -292,7 +281,7 @@ func (g *connGen) writer() {
 func (g *connGen) reader() {
 	br := bufio.NewReaderSize(g.nc, 64<<10)
 	for {
-		bp, err := readFrameBody(br, g.p.opt.MaxFrame)
+		bp, err := readFrameBody(br)
 		if err != nil {
 			g.fail(err)
 			return
@@ -356,7 +345,7 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 		return callRes{}, res.err
 	}
 
-	timeout := p.opt.RequestTimeout
+	timeout := requestTimeout
 	if extraWait > 0 {
 		timeout += extraWait
 	}

@@ -136,15 +136,16 @@ func (d *dec) strs() []string {
 	return ss
 }
 
-// readFrameBody reads one frame off a stream into a pooled buffer and
-// returns the body (length prefix stripped). The caller owns the
-// buffer and must release it with putBuf.
-func readFrameBody(br *bufio.Reader, max int) (*[]byte, error) {
+// readFrameBody reads one frame of at most DefaultMaxFrame bytes off a
+// stream into a pooled buffer and returns the body (length prefix
+// stripped). The caller owns the buffer and must release it with
+// putBuf.
+func readFrameBody(br *bufio.Reader) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(max) {
+	if n > DefaultMaxFrame {
 		return nil, ErrFrameTooBig
 	}
 	bp := getBuf()

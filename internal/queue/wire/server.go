@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"crypto/subtle"
 	"errors"
 	"net"
 	"sync"
@@ -20,18 +19,15 @@ var ErrServerClosed = errors.New("wire: server closed")
 // backends HTTPHandler fronts. One Server may serve many listeners.
 type Server struct {
 	Service queue.API
-	// AdminToken / AdminTokens provision the privileged transfer
-	// opcode with the same semantics as HTTPHandler: requests carry one
-	// token, any provisioned token is accepted (rotation), and no
-	// provisioned tokens means every transfer is rejected.
-	AdminToken  string
+	// AdminTokens provision the privileged transfer opcode with the
+	// same semantics as HTTPHandler: requests carry one token, any
+	// provisioned token is accepted (rotation), and no provisioned
+	// tokens means every transfer is rejected.
 	AdminTokens []string
 	// Metrics, when set, registers wire_op_ns{op=...} latency
 	// histograms, a wire_conns open-connection gauge, and a
 	// wire_frames counter.
 	Metrics *telemetry.Registry
-	// MaxFrame caps one frame body (default DefaultMaxFrame).
-	MaxFrame int
 	// MaxConcurrent caps the handler goroutines of one connection
 	// (default 256). Handlers live as long as their connection and each
 	// runs one request at a time; when all of them are busy the reader
@@ -58,9 +54,6 @@ func (s *Server) init() {
 	s.initOnce.Do(func() {
 		s.lns = make(map[net.Listener]struct{})
 		s.conns = make(map[*srvConn]struct{})
-		if s.MaxFrame <= 0 {
-			s.MaxFrame = DefaultMaxFrame
-		}
 		if s.MaxConcurrent <= 0 {
 			s.MaxConcurrent = 256
 		}
@@ -76,22 +69,6 @@ func (s *Server) init() {
 			s.met = m
 		}
 	})
-}
-
-// tokenAccepted mirrors HTTPHandler.tokenAccepted: constant-time
-// comparison against every provisioned token, no early exit.
-func (s *Server) tokenAccepted(token string) bool {
-	match := 0
-	if s.AdminToken != "" {
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(s.AdminToken))
-	}
-	for _, t := range s.AdminTokens {
-		if t == "" {
-			continue
-		}
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(t))
-	}
-	return match == 1
 }
 
 // Serve accepts connections on ln until the listener fails or the
@@ -216,7 +193,7 @@ func (c *srvConn) serve() {
 	}()
 	go c.writer()
 	for {
-		bp, err := readFrameBody(c.br, c.srv.MaxFrame)
+		bp, err := readFrameBody(c.br)
 		if err != nil {
 			return
 		}
@@ -480,7 +457,7 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 			fail(e, ErrCorruptFrame)
 			return
 		}
-		if !c.srv.tokenAccepted(token) {
+		if !queue.TokenAccepted(c.srv.AdminTokens, token) {
 			// One answer for "not provisioned", "no token", and "wrong
 			// token", exactly like the HTTP transfer endpoint.
 			fail(e, queue.ErrNotPrivileged)

@@ -269,7 +269,7 @@ func TestConcurrentPipelinedLoad(t *testing.T) {
 // preservation.
 func TestTransferAuth(t *testing.T) {
 	svc := queue.NewService(queue.Config{})
-	addr := startServer(t, &Server{Service: svc, AdminToken: "new", AdminTokens: []string{"old"}})
+	addr := startServer(t, &Server{Service: svc, AdminTokens: []string{"new", "old"}})
 	if err := svc.CreateQueue("q"); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestReconnectWithBackoff(t *testing.T) {
 // HTTP, and protocol errors must keep their sentinels.
 func TestFallbackToHTTP(t *testing.T) {
 	svc := queue.NewService(queue.Config{})
-	hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminToken: "tok"})
+	hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminTokens: []string{"tok"}})
 	t.Cleanup(hs.Close)
 
 	// A listener that is immediately closed yields a port nothing
