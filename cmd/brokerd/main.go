@@ -27,7 +27,7 @@
 //
 // The calibration catalog — observed per-task service times keyed by
 // (app, instance type), with side-by-side price-performance — is served
-// from its own listener (-catalog): GET /catalog and /catalog/{app}.
+// on the main address: GET /catalog and /catalog/{app}.
 // Settled tasks feed it continuously, and with -replan the broker
 // re-runs instance selection against the observed curves mid-job,
 // switching a mispredicted job's fleet to the type that is actually
@@ -88,8 +88,6 @@ func main() {
 	tick := flag.Duration("tick", 200*time.Millisecond, "autoscaler cadence")
 	targetDrain := flag.Duration("target-drain", 30*time.Second,
 		"size fleets to drain the backlog within this window once throughput is observed (0 = backlog heuristic only)")
-	catalogAddr := flag.String("catalog", ":8090",
-		"calibration-catalog listen address (\"\" disables the listener; ingestion still runs)")
 	replanOn := flag.Bool("replan", true, "re-plan jobs mid-run against observed service times")
 	replanMinSamples := flag.Int("replan-min-samples", 16, "observations required before re-planning")
 	replanError := flag.Float64("replan-error", 0.5,
@@ -151,15 +149,6 @@ func main() {
 	})
 	defer b.Close()
 
-	if *catalogAddr != "" {
-		go func() {
-			log.Printf("brokerd: calibration catalog on %s (GET /catalog, /catalog/{app})", *catalogAddr)
-			if err := http.ListenAndServe(*catalogAddr, &catalog.Handler{Service: cal}); err != nil {
-				log.Printf("brokerd: catalog listener: %v", err)
-			}
-		}()
-	}
-
 	if *doRecover {
 		// brokerd's env is process-local, so a fresh daemon finds an
 		// empty journal bucket; the flag matters when the environment is
@@ -172,20 +161,31 @@ func main() {
 		log.Printf("brokerd: recovered %d running job(s) from journal bucket %q", n, *journalBucket)
 	}
 
+	if *pprofOn {
+		log.Printf("brokerd: pprof enabled on /debug/pprof/")
+	}
+	log.Printf("brokerd: listening on %s (max fleet %d, %d workers/instance, journal %q)",
+		*addr, *maxFleet, *workers, *journalBucket)
+	if err := http.ListenAndServe(*addr, newMux(reg, b, cal, *pprofOn)); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// newMux routes brokerd's one address: metrics, the calibration
+// catalog, optional pprof, and the broker API for everything else.
+func newMux(reg *telemetry.Registry, b *broker.Broker, cal *catalog.Service, pprofOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	if *pprofOn {
+	catalogHandler := &catalog.Handler{Service: cal}
+	mux.Handle("/catalog", catalogHandler)
+	mux.Handle("/catalog/", catalogHandler)
+	if pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		log.Printf("brokerd: pprof enabled on /debug/pprof/")
 	}
 	mux.Handle("/", &broker.HTTPHandler{Broker: b})
-	log.Printf("brokerd: listening on %s (max fleet %d, %d workers/instance, journal %q)",
-		*addr, *maxFleet, *workers, *journalBucket)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		log.Fatal(err)
-	}
+	return mux
 }

@@ -1107,7 +1107,7 @@ type replayPoint struct {
 // writeSyntheticJournal appends one completed-job journal of exactly
 // nEvents entries (submitted + checkpoints + completed) to the journal
 // bucket, via the broker's shared fixture builder.
-func writeSyntheticJournal(store *blob.Store, jobID string, nEvents int) error {
+func writeSyntheticJournal(store blob.API, jobID string, nEvents int) error {
 	doc, err := broker.SyntheticJournal(nEvents-2, time.Unix(1_000_000, 0))
 	if err != nil {
 		return err
@@ -1171,8 +1171,9 @@ func brokerRecover() {
 		puts    int64
 	}
 	run := func(journalBucket string) (appendRun, error) {
+		store := blob.NewStore(blob.Config{})
 		env := classiccloud.Env{
-			Blob:  blob.NewStore(blob.Config{}),
+			Blob:  store,
 			Queue: queue.NewService(queue.Config{Seed: 6}),
 		}
 		bk := broker.New(broker.Config{
@@ -1184,7 +1185,7 @@ func brokerRecover() {
 			},
 		})
 		defer bk.Close()
-		base := env.Blob.Usage().PutRequests
+		base := store.Usage().PutRequests
 		start := time.Now()
 		j, err := bk.Submit(broker.JobRequest{App: "cap3", Files: files})
 		if err != nil {
@@ -1193,7 +1194,7 @@ func brokerRecover() {
 		if err := j.Wait(60 * time.Second); err != nil {
 			return appendRun{}, err
 		}
-		return appendRun{time.Since(start), env.Blob.Usage().PutRequests - base}, nil
+		return appendRun{time.Since(start), store.Usage().PutRequests - base}, nil
 	}
 	// Best-of-3 per config: scheduler noise on an oversubscribed CI
 	// machine dwarfs the per-task append cost, and minima compare the

@@ -96,6 +96,27 @@ type bucket struct {
 	objects map[string]*object
 }
 
+// API is the storage interface every consumer — journals, the
+// calibration catalog, durable queue shards, the broker and its workers
+// — takes. Store is the one implementation; tests wrap it to inject
+// faults. Usage stays off it: only code that built the Store reads the
+// bill.
+type API interface {
+	CreateBucket(name string) error
+	DeleteBucket(name string) error
+	Put(bucketName, key string, data []byte) error
+	PutIf(bucketName, key string, data []byte, ifVersion int64) (int64, error)
+	Append(bucketName, key string, data []byte) (int64, error)
+	Get(bucketName, key string) ([]byte, error)
+	GetConsistent(bucketName, key string) ([]byte, error)
+	GetRange(bucketName, key string, off, n int64) (data []byte, size int64, err error)
+	Stat(bucketName, key string) (size, version int64, err error)
+	Delete(bucketName, key string) error
+	List(bucketName, prefix string) ([]string, error)
+}
+
+var _ API = (*Store)(nil)
+
 // Store is an in-process blob service shared by clients and workers.
 type Store struct {
 	mu      sync.Mutex
@@ -107,7 +128,7 @@ type Store struct {
 }
 
 // storeOps is the set of operations that get their own latency
-// histogram. "get" covers Get, GetConsistent, Stat, and Exists — all
+// histogram. "get" covers Get, GetConsistent, GetRange and Stat — all
 // billed GETs; latency includes the simulated transfer sleep, so the
 // histograms show what callers actually waited.
 var storeOps = []string{"put", "put_if", "append", "get", "delete", "list"}
@@ -309,7 +330,7 @@ func (s *Store) Append(bucketName, key string, data []byte) (int64, error) {
 }
 
 // Stat returns an object's size and version without transferring it
-// (consistent view, billed as one GET like Exists). Like any metadata
+// (consistent view, billed as one GET). Like any metadata
 // request it still pays the simulated HTTP round trip.
 func (s *Store) Stat(bucketName, key string) (size, version int64, err error) {
 	defer s.opDone("get", s.opStart())
@@ -333,24 +354,37 @@ func (s *Store) Stat(bucketName, key string) (size, version int64, err error) {
 // the previous bytes for an overwrite — S3's classic eventual-consistency
 // anomalies.
 func (s *Store) Get(bucketName, key string) ([]byte, error) {
+	return s.get(bucketName, key, s.cfg.ConsistencyWindow > 0)
+}
+
+// GetConsistent reads the latest version regardless of the consistency
+// window (the moral equivalent of retrying until the write is visible).
+func (s *Store) GetConsistent(bucketName, key string) ([]byte, error) {
+	return s.get(bucketName, key, false)
+}
+
+// get is the one billed object read behind Get and GetConsistent;
+// windowed selects whether a write inside the consistency window is
+// still hidden. Every outcome, a miss included, pays the simulated
+// round trip.
+func (s *Store) get(bucketName, key string, windowed bool) ([]byte, error) {
 	defer s.opDone("get", s.opStart())
 	s.mu.Lock()
+	s.usage.GetRequests++
 	b, ok := s.buckets[bucketName]
 	if !ok {
-		s.usage.GetRequests++
 		s.mu.Unlock()
 		s.simulateTransfer(0)
 		return nil, ErrNoSuchBucket
 	}
-	s.usage.GetRequests++
 	o, exists := b.objects[key]
 	if !exists {
 		s.mu.Unlock()
 		s.simulateTransfer(0)
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
 	}
-	var out []byte
-	if s.cfg.ConsistencyWindow > 0 && s.cfg.Clock.Now().Sub(o.writtenAt) < s.cfg.ConsistencyWindow {
+	data := o.data
+	if windowed && s.cfg.Clock.Now().Sub(o.writtenAt) < s.cfg.ConsistencyWindow {
 		// Stale view.
 		if !o.hadPrev {
 			s.usage.NotFoundReads++
@@ -359,34 +393,9 @@ func (s *Store) Get(bucketName, key string) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %s/%s (eventual consistency)", ErrNoSuchKey, bucketName, key)
 		}
 		s.usage.StaleReads++
-		out = append([]byte(nil), o.prev...)
-	} else {
-		out = append([]byte(nil), o.data...)
+		data = o.prev
 	}
-	s.usage.BytesOut += int64(len(out))
-	s.mu.Unlock()
-	s.simulateTransfer(len(out))
-	return out, nil
-}
-
-// GetConsistent reads the latest version regardless of the consistency
-// window (the moral equivalent of retrying until the write is visible).
-func (s *Store) GetConsistent(bucketName, key string) ([]byte, error) {
-	defer s.opDone("get", s.opStart())
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.usage.GetRequests++
-		s.mu.Unlock()
-		return nil, ErrNoSuchBucket
-	}
-	s.usage.GetRequests++
-	o, exists := b.objects[key]
-	if !exists {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
-	}
-	out := append([]byte(nil), o.data...)
+	out := append([]byte(nil), data...)
 	s.usage.BytesOut += int64(len(out))
 	s.mu.Unlock()
 	s.simulateTransfer(len(out))
@@ -472,20 +481,4 @@ func (s *Store) List(bucketName, prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Exists reports whether a key currently exists (consistent view). It
-// pays the simulated round trip like every other request.
-func (s *Store) Exists(bucketName, key string) (bool, error) {
-	defer s.opDone("get", s.opStart())
-	s.simulateTransfer(0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.usage.GetRequests++
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return false, ErrNoSuchBucket
-	}
-	_, exists := b.objects[key]
-	return exists, nil
 }

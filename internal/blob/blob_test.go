@@ -239,28 +239,43 @@ func TestPutCopiesInput(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
+func TestStat(t *testing.T) {
 	s := NewStore(Config{ConsistencyWindow: time.Hour, Clock: &fakeClock{now: time.Unix(0, 0)}})
 	s.CreateBucket("b")
-	if ok, _ := s.Exists("b", "k"); ok {
-		t.Error("missing key should not exist")
+	if _, _, err := s.Stat("b", "k"); !errors.Is(err, ErrNoSuchKey) {
+		t.Errorf("Stat on missing key: %v, want ErrNoSuchKey", err)
 	}
-	s.Put("b", "k", []byte("x"))
-	if ok, _ := s.Exists("b", "k"); !ok {
-		t.Error("Exists should see writes immediately (consistent view)")
+	// Stat is a consistent view: it sees the write inside the window.
+	s.Put("b", "k", []byte("abc"))
+	if size, version, err := s.Stat("b", "k"); err != nil || size != 3 || version != 1 {
+		t.Errorf("after Put: size %d version %d err %v, want 3 1 <nil>", size, version, err)
 	}
-	if _, err := s.Exists("nope", "k"); err != ErrNoSuchBucket {
-		t.Errorf("Exists on missing bucket: %v", err)
+	s.Append("b", "k", []byte("de"))
+	if size, version, err := s.Stat("b", "k"); err != nil || size != 5 || version != 2 {
+		t.Errorf("after Append: size %d version %d err %v, want 5 2 <nil>", size, version, err)
+	}
+	if _, _, err := s.Stat("nope", "k"); !errors.Is(err, ErrNoSuchBucket) {
+		t.Errorf("Stat on missing bucket: %v, want ErrNoSuchBucket", err)
 	}
 }
 
 func TestInjectedLatency(t *testing.T) {
 	s := NewStore(Config{RequestLatency: 30 * time.Millisecond})
 	s.CreateBucket("b")
-	start := time.Now()
-	s.Put("b", "k", []byte("x"))
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("Put returned in %v; latency not applied", elapsed)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Put", func() { s.Put("b", "k", []byte("x")) }},
+		// A miss is still a round trip to the service.
+		{"GetConsistent of a missing key", func() { s.GetConsistent("b", "absent") }},
+		{"GetConsistent in a missing bucket", func() { s.GetConsistent("nope", "k") }},
+	} {
+		start := time.Now()
+		c.op()
+		if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
+			t.Errorf("%s returned in %v; latency not applied", c.name, elapsed)
+		}
 	}
 }
 

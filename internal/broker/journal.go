@@ -206,7 +206,7 @@ func (jl *jobJournal) maybeCompact(rec *jobRecord) {
 // readJournal loads and decodes the events currently in one job's
 // journal. For a compacted journal these are only the events since the
 // last snapshot; loadJobRecord is the full-state read.
-func readJournal(store *blob.Store, bucket, jobID string) ([]Event, error) {
+func readJournal(store blob.API, bucket, jobID string) ([]Event, error) {
 	v, err := (journal.Log{Store: store, Bucket: bucket, Key: journalKey(jobID)}).Load()
 	if err != nil {
 		return nil, err
@@ -218,7 +218,7 @@ func readJournal(store *blob.Store, bucket, jobID string) ([]Event, error) {
 // the journal's current epoch (when compaction has run) plus a replay
 // of every event appended since. Replay cost is bounded by the
 // compaction cadence, not by job length.
-func loadJobRecord(store *blob.Store, bucket, jobID string) (*jobRecord, error) {
+func loadJobRecord(store blob.API, bucket, jobID string) (*jobRecord, error) {
 	v, err := (journal.Log{Store: store, Bucket: bucket, Key: journalKey(jobID)}).Load()
 	if err != nil {
 		return nil, err
@@ -304,7 +304,7 @@ func SyntheticJournal(nTasks int, base time.Time) ([]byte, error) {
 
 // listJournaledJobs returns the job IDs with a journal in the bucket
 // (snapshot objects are not journals and are excluded).
-func listJournaledJobs(store *blob.Store, bucket string) ([]string, error) {
+func listJournaledJobs(store blob.API, bucket string) ([]string, error) {
 	keys, err := journal.List(store, bucket, journalJobPrefix)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,16 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/blob"
+	"repro/internal/classiccloud"
 	"repro/internal/fasta"
+	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
@@ -273,5 +278,111 @@ func TestRecoverRebuildsExecutorFromStagedShared(t *testing.T) {
 	}
 	if st := j2.Status(); st.Done != len(files) {
 		t.Errorf("done = %d, want %d", st.Done, len(files))
+	}
+}
+
+// failingStore is a blob store whose appends, the journal's only write
+// after creation, fail while armed: a journal outage that leaves task
+// inputs and outputs reachable.
+type failingStore struct {
+	blob.API
+	armed    atomic.Bool
+	failures atomic.Int64
+}
+
+var errAppendFailed = errors.New("injected append failure")
+
+func (f *failingStore) Append(bucket, key string, data []byte) (int64, error) {
+	if f.armed.Load() {
+		f.failures.Add(1)
+		return 0, errAppendFailed
+	}
+	return f.API.Append(bucket, key, data)
+}
+
+// A settlement can be replayed but never lost and never double-counted:
+// while the journal refuses appends no checkpoint folds, the unconsumed
+// reports redeliver once it is back, and the job still settles every
+// task. A second broker replaying the journal sees the same bill.
+func TestJournalOutageLosesNoSettlement(t *testing.T) {
+	store := blob.NewStore(blob.Config{})
+	fs := &failingStore{API: store}
+	q := queue.NewService(queue.Config{Seed: 7})
+	registry := map[string]ExecutorFactory{
+		"echo": func(map[string][]byte) (classiccloud.Executor, error) {
+			return classiccloud.FuncExecutor{
+				AppName: "echo",
+				Fn: func(_ classiccloud.Task, input []byte) ([]byte, error) {
+					time.Sleep(5 * time.Millisecond)
+					return input, nil
+				},
+			}, nil
+		},
+	}
+	cfg := Config{
+		Env:               classiccloud.Env{Blob: fs, Queue: q},
+		Registry:          registry,
+		VisibilityTimeout: 300 * time.Millisecond,
+		TickInterval:      5 * time.Millisecond,
+		Autoscale:         AutoscalePolicy{MinInstances: 2, MaxInstances: 2},
+	}
+	const total = 60
+	files := make(map[string][]byte, total)
+	for i := 0; i < total; i++ {
+		files[fmt.Sprintf("f%02d", i)] = []byte(fmt.Sprintf("input %d", i))
+	}
+	b1 := New(cfg)
+	defer b1.Close()
+	j1, err := b1.Submit(JobRequest{App: "echo", Files: files})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for j1.Status().Done < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck before the outage: %+v", j1.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fs.armed.Store(true)
+	doneAtOutage := j1.Status().Done
+	if doneAtOutage >= total {
+		t.Fatalf("job finished before the outage (done=%d)", doneAtOutage)
+	}
+	for fs.failures.Load() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("no journal append attempted during the outage")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if done := j1.Status().Done; done != doneAtOutage {
+		t.Errorf("done moved %d -> %d while the journal refused appends", doneAtOutage, done)
+	}
+	fs.armed.Store(false)
+
+	if err := j1.Wait(60 * time.Second); err != nil {
+		t.Fatalf("job did not complete after the outage: %v (status %+v)", err, j1.Status())
+	}
+	live := j1.Status()
+	if live.Done != total || live.Dead != 0 {
+		t.Errorf("done=%d dead=%d, want %d/0", live.Done, live.Dead, total)
+	}
+	liveBill := j1.CostReport()
+
+	b2 := New(Config{Env: classiccloud.Env{Blob: store, Queue: q}, Registry: registry})
+	defer b2.Close()
+	if _, err := b2.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	j2, ok := b2.Job(j1.ID)
+	if !ok {
+		t.Fatalf("job %s not recovered", j1.ID)
+	}
+	if st := j2.Status(); st.Done != live.Done || st.Duplicates != live.Duplicates {
+		t.Errorf("recovered done=%d duplicates=%d, live %d/%d",
+			st.Done, st.Duplicates, live.Done, live.Duplicates)
+	}
+	if got := j2.CostReport().HourUnits; got != liveBill.HourUnits {
+		t.Errorf("recovered hour units %v, live %v", got, liveBill.HourUnits)
 	}
 }

@@ -33,7 +33,7 @@ import (
 // Config tunes the catalog service. Zero values select defaults.
 type Config struct {
 	// Store is the blob store holding the catalog journal (required).
-	Store *blob.Store
+	Store blob.API
 	// SnapshotEvery bounds replay: after this many journaled batches the
 	// summaries are snapshotted and the journal truncated (default 256;
 	// negative disables compaction).

@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,7 +12,7 @@ import (
 	"repro/internal/cloud"
 )
 
-func openTest(t *testing.T, store *blob.Store, snapEvery int) *Service {
+func openTest(t *testing.T, store blob.API, snapEvery int) *Service {
 	t.Helper()
 	s, err := Open(Config{
 		Store:         store,
@@ -99,6 +101,55 @@ func TestCatalogRecoversFromJournal(t *testing.T) {
 	}
 	if got, want := st.Mean(), 3*time.Second; got != want {
 		t.Errorf("recovered Mean = %v, want %v", got, want)
+	}
+}
+
+// failingStore is a blob store whose appends fail while armed.
+type failingStore struct {
+	blob.API
+	armed atomic.Bool
+}
+
+var errAppendFailed = errors.New("injected append failure")
+
+func (f *failingStore) Append(bucket, key string, data []byte) (int64, error) {
+	if f.armed.Load() {
+		return 0, errAppendFailed
+	}
+	return f.API.Append(bucket, key, data)
+}
+
+// Record is write-ahead: a batch whose journal append fails is
+// reported and not folded, so the live catalog never holds samples a
+// reopened one would lack.
+func TestCatalogFailedRecordFoldsNothing(t *testing.T) {
+	store := blob.NewStore(blob.Config{})
+	fs := &failingStore{API: store}
+	s := openTest(t, fs, 0)
+	if err := s.Record("cap3", "aws/Large", []time.Duration{time.Second, 2 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := s.Stats("cap3", "aws/Large")
+	fs.armed.Store(true)
+	if err := s.Record("cap3", "aws/Large", []time.Duration{time.Minute}); !errors.Is(err, errAppendFailed) {
+		t.Errorf("Record with a failing journal: err = %v, want the append failure", err)
+	}
+	if err := s.Record("cap3", "azure/Small", []time.Duration{time.Second}); !errors.Is(err, errAppendFailed) {
+		t.Errorf("Record of a new key with a failing journal: err = %v, want the append failure", err)
+	}
+	fs.armed.Store(false)
+	if got, _ := s.Stats("cap3", "aws/Large"); got != want {
+		t.Errorf("after a failed Record: stats %+v, want %+v", got, want)
+	}
+	if _, ok := s.Stats("cap3", "azure/Small"); ok {
+		t.Error("a failed Record created its key")
+	}
+	re := openTest(t, store, 0)
+	if got, _ := re.Stats("cap3", "aws/Large"); got != want {
+		t.Errorf("reopened catalog: stats %+v, want %+v", got, want)
+	}
+	if _, ok := re.Stats("cap3", "azure/Small"); ok {
+		t.Error("reopened catalog holds the failed Record's key")
 	}
 }
 

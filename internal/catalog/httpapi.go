@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Handler exposes the catalog read-only over HTTP (brokerd's -catalog
-// listener):
+// Handler exposes the catalog read-only over HTTP (served on brokerd's
+// main address):
 //
 //	GET /catalog         every app's side-by-side comparison
 //	GET /catalog/{app}   one app's comparison (404 when unobserved)

@@ -28,7 +28,7 @@ import (
 // a single in-process service, a remote service over HTTP, or a
 // shard.Router fanning the namespace across many services.
 type Env struct {
-	Blob  *blob.Store
+	Blob  blob.API
 	Queue queue.API
 }
 
@@ -386,7 +386,7 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		if dead[t.ID] && !done[t.ID] {
 			continue
 		}
-		if ok, err := c.env.Blob.Exists(t.OutputBucket, t.OutputKey); err != nil || !ok {
+		if _, _, err := c.env.Blob.Stat(t.OutputBucket, t.OutputKey); err != nil {
 			return Report{}, fmt.Errorf("classiccloud: output %s missing after completion", t.OutputKey)
 		}
 	}

@@ -659,7 +659,7 @@ func (q *failingBatchQueue) SendMessageBatch(name string, bodies [][]byte) ([]st
 		if err := json.Unmarshal(b, &task); err != nil {
 			return nil, err
 		}
-		if ok, _ := q.blob.Exists(task.InputBucket, task.InputKey); !ok {
+		if _, _, err := q.blob.Stat(task.InputBucket, task.InputKey); err != nil {
 			q.missingInputs++
 		}
 	}

@@ -83,7 +83,7 @@ type header struct {
 // usable; all three fields are required. Log is a value type — copies
 // share no state beyond the store itself.
 type Log struct {
-	Store  *blob.Store
+	Store  blob.API
 	Bucket string
 	Key    string
 }
@@ -367,7 +367,7 @@ func IsSnapshotKey(key string) bool {
 
 // List returns the log keys under a prefix, sorted, excluding snapshot
 // objects — the recovery enumeration ("which journals exist?").
-func List(store *blob.Store, bucketName, prefix string) ([]string, error) {
+func List(store blob.API, bucketName, prefix string) ([]string, error) {
 	keys, err := store.List(bucketName, prefix)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ import (
 type Durability struct {
 	// Store is the blob store holding the journal (the same store the
 	// broker journals to, typically).
-	Store *blob.Store
+	Store blob.API
 	// Bucket and Key name the journal object; each shard needs its own
 	// Key. The bucket is created idempotently by Recover.
 	Bucket string

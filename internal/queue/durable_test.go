@@ -3,13 +3,14 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
 )
 
-func durConfig(store *blob.Store, clk Clock, key string) Config {
+func durConfig(store blob.API, clk Clock, key string) Config {
 	return Config{
 		Clock: clk,
 		Seed:  42,
@@ -318,6 +319,100 @@ func TestDurableOpsRacingDeleteQueueDoNotPoisonJournal(t *testing.T) {
 	r := NewService(durConfig(store, clk, "shard-0"))
 	if err := r.Recover(); err != nil {
 		t.Fatalf("journal poisoned by mutation racing DeleteQueue: %v", err)
+	}
+}
+
+// failingStore is a blob store whose journal appends fail while armed:
+// a storage outage between the queue and its journal.
+type failingStore struct {
+	blob.API
+	armed atomic.Bool
+}
+
+var errAppendFailed = errors.New("injected append failure")
+
+func (f *failingStore) Append(bucket, key string, data []byte) (int64, error) {
+	if f.armed.Load() {
+		return 0, errAppendFailed
+	}
+	return f.API.Append(bucket, key, data)
+}
+
+// The journal is written ahead: a batch operation whose append fails
+// returns the failure and commits nothing, so the journal never falls
+// behind what callers were told.
+func TestDurableFailedAppendCommitsNothing(t *testing.T) {
+	store := blob.NewStore(blob.Config{})
+	fs := &failingStore{API: store}
+	clk := NewFakeClock(time.Unix(1000, 0))
+	s := NewService(durConfig(fs, clk, "shard-0"))
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SendMessageBatch("q", [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := s.ReceiveMessageBatch("q", time.Minute, 2, 0)
+	if err != nil || len(msgs) != 2 {
+		t.Fatalf("receive: %d messages, %v", len(msgs), err)
+	}
+	receipts := []string{msgs[0].ReceiptHandle, msgs[1].ReceiptHandle}
+
+	depth := func(svc *Service) [2]int {
+		t.Helper()
+		vis, inf, err := svc.QueueDepth("q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]int{vis, inf}
+	}
+	want := depth(s)
+	fs.armed.Store(true)
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"SendMessageBatch", func() error {
+			_, err := s.SendMessageBatch("q", [][]byte{[]byte("e")})
+			return err
+		}},
+		{"ReceiveMessageBatch", func() error {
+			_, err := s.ReceiveMessageBatch("q", time.Minute, 2, 0)
+			return err
+		}},
+		{"DeleteMessageBatch", func() error {
+			_, err := s.DeleteMessageBatch("q", receipts)
+			return err
+		}},
+	} {
+		if err := op.call(); !errors.Is(err, errAppendFailed) {
+			t.Errorf("%s with a failing journal: err = %v, want the append failure", op.name, err)
+		}
+		if got := depth(s); got != want {
+			t.Errorf("after failed %s: depth %v, want %v", op.name, got, want)
+		}
+	}
+	fs.armed.Store(false)
+
+	r := NewService(durConfig(store, clk, "shard-0"))
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := depth(r); got != want {
+		t.Errorf("recovered depth %v, live depth %v", got, want)
+	}
+	// The failed delete kept the receipts live.
+	results, err := s.DeleteMessageBatch("q", receipts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range results {
+		if err != nil {
+			t.Errorf("receipt %d after the failed delete: %v", i, err)
+		}
 	}
 }
 
